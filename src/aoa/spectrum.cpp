@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "linalg/kernels.h"
+
 namespace arraytrack::aoa {
 
 std::size_t AoaSpectrum::bearing_bin(double rad) const {
@@ -43,13 +45,16 @@ std::vector<Peak> AoaSpectrum::find_peaks(double min_fraction) const {
   const std::size_t n = power_.size();
   if (n < 3) return peaks;
   const double floor_level = min_fraction * max_value();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double prev = power_[(i + n - 1) % n];
-    const double next = power_[(i + 1) % n];
-    if (power_[i] > prev && power_[i] >= next && power_[i] >= floor_level &&
-        power_[i] > 0.0)
-      peaks.push_back({bin_bearing(i), power_[i], i});
-  }
+  const double* p = power_.data();
+  // Circular neighborhood; the two ends wrap explicitly so the interior
+  // scan needs no modulo. Bins are visited in ascending order.
+  const auto consider = [&](std::size_t i, double prev, double next) {
+    if (p[i] > prev && p[i] >= next && p[i] >= floor_level && p[i] > 0.0)
+      peaks.push_back({bin_bearing(i), p[i], i});
+  };
+  consider(0, p[n - 1], p[1]);
+  for (std::size_t i = 1; i + 1 < n; ++i) consider(i, p[i - 1], p[i + 1]);
+  consider(n - 1, p[n - 2], p[0]);
   std::sort(peaks.begin(), peaks.end(),
             [](const Peak& a, const Peak& b) { return a.power > b.power; });
   return peaks;
@@ -141,19 +146,26 @@ std::vector<double> gaussian_taps(double sigma_rad, std::size_t bins) {
   return kernel;
 }
 
+void circular_extend(const double* row, std::size_t bins, std::size_t half,
+                     double* ext, std::size_t stride) {
+  const auto put = [&](const double* first, const double* last) {
+    for (; first != last; ++first, ext += stride) *ext = *first;
+  };
+  put(row + bins - half, row + bins);
+  put(row, row + bins);
+  put(row, row + half);
+}
+
 void AoaSpectrum::convolve_gaussian(double sigma_rad) {
   const std::size_t n = power_.size();
   const std::vector<double> kernel = gaussian_taps(sigma_rad, n);
   if (kernel.empty()) return;
   const std::size_t half = kernel.size() / 2;
-  std::vector<double> out(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < kernel.size(); ++j) {
-      const std::size_t src = (i + n + j - half) % n;
-      out[i] += kernel[j] * power_[src];
-    }
-  }
-  power_ = std::move(out);
+  std::vector<double> ext(n + 2 * half);
+  circular_extend(power_.data(), n, half, ext.data());
+  // The extension is a copy, so the FIR writes straight back in place.
+  linalg::kernels::fir_batch(ext.data(), 1, n, kernel.data(), kernel.size(),
+                             power_.data());
 }
 
 AoaSpectrum& AoaSpectrum::operator+=(const AoaSpectrum& other) {

@@ -11,10 +11,10 @@ namespace arraytrack::core {
 namespace {
 
 /// Bearing blur for a stack of same-size spectra in one pass: the
-/// Gaussian taps and the circular window addressing are computed once,
-/// and the multiply-accumulate streams across rows via
-/// kernels::fir_batch. Each row's bits match
-/// AoaSpectrum::convolve_gaussian run on that row alone.
+/// Gaussian taps are computed once, and the multiply-accumulate streams
+/// across rows via kernels::fir_batch. Each row's bits match
+/// AoaSpectrum::convolve_gaussian (the same kernel with one row) run on
+/// that row alone.
 void blur_rows(double sigma_rad, std::vector<aoa::AoaSpectrum>& rows) {
   if (rows.empty()) return;
   const std::size_t bins = rows.front().bins();
@@ -32,18 +32,14 @@ void blur_rows(double sigma_rad, std::vector<aoa::AoaSpectrum>& rows) {
   // ext[e*nrows + r]) holds that row's bin (e - half) mod bins, which
   // turns the circular convolution into a plain FIR.
   std::vector<double> ext((bins + 2 * half) * nrows);
-  for (std::size_t e = 0; e < bins + 2 * half; ++e) {
-    const std::size_t src = (e + bins - half) % bins;
-    for (std::size_t r = 0; r < nrows; ++r) ext[e * nrows + r] = rows[r][src];
-  }
+  for (std::size_t r = 0; r < nrows; ++r)
+    aoa::circular_extend(rows[r].values().data(), bins, half, ext.data() + r,
+                         nrows);
   std::vector<double> out(bins * nrows);
   linalg::kernels::fir_batch(ext.data(), nrows, bins, taps.data(), taps.size(),
                              out.data());
-  for (std::size_t r = 0; r < nrows; ++r) {
-    std::vector<double> row(bins);
-    for (std::size_t i = 0; i < bins; ++i) row[i] = out[i * nrows + r];
-    rows[r] = aoa::AoaSpectrum(std::move(row));
-  }
+  for (std::size_t r = 0; r < nrows; ++r)
+    for (std::size_t i = 0; i < bins; ++i) rows[r][i] = out[i * nrows + r];
 }
 
 }  // namespace

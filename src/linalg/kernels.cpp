@@ -375,9 +375,47 @@ void gather_lerp_product_batch_sse2(const double* table,
   }
 }
 
+// Single-row FIR (one spectrum's blur): there are no rows to vectorize
+// across, so the lanes hold consecutive outputs instead, with four
+// independent accumulators per block to hide the add latency. Each
+// output still sums its taps in ascending order from zero.
+AT_TARGET_SSE2
+void fir_row_sse2(const double* in, std::size_t nout, const double* taps,
+                  std::size_t ntaps, double* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= nout; i += 8) {
+    __m128d a0 = _mm_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (std::size_t j = 0; j < ntaps; ++j) {
+      const __m128d t = _mm_set1_pd(taps[j]);
+      const double* x = in + i + j;
+      a0 = _mm_add_pd(a0, _mm_mul_pd(t, _mm_loadu_pd(x)));
+      a1 = _mm_add_pd(a1, _mm_mul_pd(t, _mm_loadu_pd(x + 2)));
+      a2 = _mm_add_pd(a2, _mm_mul_pd(t, _mm_loadu_pd(x + 4)));
+      a3 = _mm_add_pd(a3, _mm_mul_pd(t, _mm_loadu_pd(x + 6)));
+    }
+    _mm_storeu_pd(out + i, a0);
+    _mm_storeu_pd(out + i + 2, a1);
+    _mm_storeu_pd(out + i + 4, a2);
+    _mm_storeu_pd(out + i + 6, a3);
+  }
+  for (; i + 2 <= nout; i += 2) {
+    __m128d acc = _mm_setzero_pd();
+    for (std::size_t j = 0; j < ntaps; ++j)
+      acc = _mm_add_pd(acc,
+                       _mm_mul_pd(_mm_set1_pd(taps[j]), _mm_loadu_pd(in + i + j)));
+    _mm_storeu_pd(out + i, acc);
+  }
+  for (; i < nout; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < ntaps; ++j) acc = acc + taps[j] * in[i + j];
+    out[i] = acc;
+  }
+}
+
 AT_TARGET_SSE2
 void fir_batch_sse2(const double* in, std::size_t nrows, std::size_t nout,
                     const double* taps, std::size_t ntaps, double* out) {
+  if (nrows == 1) return fir_row_sse2(in, nout, taps, ntaps, out);
   for (std::size_t i = 0; i < nout; ++i) {
     const double* win = in + i * nrows;
     double* o = out + i * nrows;
@@ -630,12 +668,47 @@ void gather_lerp_product_batch_avx2(const double* table,
   }
 }
 
+// fir_row_sse2 at four lanes: 4 accumulators x 4 consecutive outputs.
+AT_TARGET_AVX2_NOFMA
+void fir_row_avx2(const double* in, std::size_t nout, const double* taps,
+                  std::size_t ntaps, double* out) {
+  std::size_t i = 0;
+  for (; i + 16 <= nout; i += 16) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (std::size_t j = 0; j < ntaps; ++j) {
+      const __m256d t = _mm256_set1_pd(taps[j]);
+      const double* x = in + i + j;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(t, _mm256_loadu_pd(x)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(t, _mm256_loadu_pd(x + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(t, _mm256_loadu_pd(x + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(t, _mm256_loadu_pd(x + 12)));
+    }
+    _mm256_storeu_pd(out + i, a0);
+    _mm256_storeu_pd(out + i + 4, a1);
+    _mm256_storeu_pd(out + i + 8, a2);
+    _mm256_storeu_pd(out + i + 12, a3);
+  }
+  for (; i + 4 <= nout; i += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < ntaps; ++j)
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(taps[j]),
+                                             _mm256_loadu_pd(in + i + j)));
+    _mm256_storeu_pd(out + i, acc);
+  }
+  for (; i < nout; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < ntaps; ++j) acc = acc + taps[j] * in[i + j];
+    out[i] = acc;
+  }
+}
+
 AT_TARGET_AVX2_NOFMA
 void fir_batch_avx2(const double* in, std::size_t nrows, std::size_t nout,
                     const double* taps, std::size_t ntaps, double* out) {
   // Deliberately mul+add, in a target without FMA so the compiler
-  // cannot contract the pair: bit-compatible with the un-batched blur,
-  // which compiles portably and never fuses.
+  // cannot contract the pair: bit-compatible with the portable scalar
+  // loop, which compiles without FMA and never fuses.
+  if (nrows == 1) return fir_row_avx2(in, nout, taps, ntaps, out);
   for (std::size_t i = 0; i < nout; ++i) {
     const double* win = in + i * nrows;
     double* o = out + i * nrows;

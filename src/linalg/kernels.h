@@ -176,10 +176,13 @@ void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
 /// in ascending order from zero:
 ///   out[i*nrows+r] = sum_j taps[j] * in[(i+j)*nrows+r]
 /// Callers express a circular convolution by pre-extending the input
-/// with the wrapped edge samples. Every level performs separate
-/// multiply/add (never fused), so all levels produce identical bits
-/// and each row matches the plain scalar loop that
-/// aoa::AoaSpectrum::convolve_gaussian runs un-batched.
+/// with the wrapped edge samples (aoa::circular_extend). Every level
+/// performs separate multiply/add (never fused), so all levels produce
+/// identical bits and each row matches the plain scalar loop
+///   acc = 0; for j: acc += taps[j] * x[i + j]
+/// With nrows == 1 the vector levels spread consecutive outputs across
+/// lanes instead of rows; aoa::AoaSpectrum::convolve_gaussian is that
+/// single-row case.
 void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
                const double* taps, std::size_t ntaps, double* out);
 

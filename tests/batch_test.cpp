@@ -130,28 +130,34 @@ TEST(BatchKernelsTest, GatherLerpProductBatchChunkInvariant) {
 TEST(BatchKernelsTest, FirBatchBitwiseMatchesPortableLoop) {
   std::mt19937_64 rng(17);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  const std::size_t nout = 240, ntaps = 33;
+  const std::size_t ntaps = 33;
   std::vector<double> taps(ntaps);
   for (auto& v : taps) v = u(rng);
   for (Level lvl : testable_levels()) {
     ForcedLevel g(lvl);
-    for (std::size_t nrows : {1u, 3u, 8u, 9u}) {
-      std::vector<double> in((nout + ntaps - 1) * nrows);
-      for (auto& v : in) v = u(rng);
-      std::vector<double> out(nout * nrows);
-      linalg::kernels::fir_batch(in.data(), nrows, nout, taps.data(), ntaps,
-                                 out.data());
-      for (std::size_t r = 0; r < nrows; ++r)
-        for (std::size_t i = 0; i < nout; ++i) {
-          // The un-batched blur loop in AoaSpectrum::convolve_gaussian:
-          // plain multiply-add, strictly tap-ascending.
-          double acc = 0.0;
-          for (std::size_t j = 0; j < ntaps; ++j)
-            acc += taps[j] * in[(i + j) * nrows + r];
-          ASSERT_EQ(0, std::memcmp(&acc, &out[i * nrows + r], 8))
-              << "level " << core::simd::name(lvl) << " nrows " << nrows
-              << " row " << r << " sample " << i;
-        }
+    // Output counts that are not multiples of 4 or 16: with one row the
+    // vector levels block across outputs, and 247 = 15*16 + 4 + 3 (AVX2)
+    // = 30*8 + 3*2 + 1 (SSE2) leaves every block size and the scalar
+    // tail non-empty.
+    for (std::size_t nout : {7u, 240u, 241u, 247u, 720u}) {
+      for (std::size_t nrows : {1u, 3u, 8u, 9u}) {
+        std::vector<double> in((nout + ntaps - 1) * nrows);
+        for (auto& v : in) v = u(rng);
+        std::vector<double> out(nout * nrows);
+        linalg::kernels::fir_batch(in.data(), nrows, nout, taps.data(), ntaps,
+                                   out.data());
+        for (std::size_t r = 0; r < nrows; ++r)
+          for (std::size_t i = 0; i < nout; ++i) {
+            // The portable blur loop: plain multiply-add, strictly
+            // tap-ascending.
+            double acc = 0.0;
+            for (std::size_t j = 0; j < ntaps; ++j)
+              acc += taps[j] * in[(i + j) * nrows + r];
+            ASSERT_EQ(0, std::memcmp(&acc, &out[i * nrows + r], 8))
+                << "level " << core::simd::name(lvl) << " nout " << nout
+                << " nrows " << nrows << " row " << r << " sample " << i;
+          }
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "aoa/covariance.h"
 #include "aoa/music.h"
@@ -142,7 +143,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LinearCase{2, false, 0}, LinearCase{4, false, 0},
                       LinearCase{2, true, 0}, LinearCase{4, true, 0},
                       LinearCase{2, false, 1}, LinearCase{2, false, 2},
-                      LinearCase{4, false, 3}, LinearCase{4, true, 2}));
+                      LinearCase{4, false, 3}, LinearCase{4, true, 2}),
+    // Named from the fields: gtest would otherwise print the struct's
+    // raw bytes, uninitialised padding included, into the test name.
+    [](const ::testing::TestParamInfo<LinearCase>& info) {
+      const LinearCase& c = info.param;
+      return "g" + std::to_string(c.smoothing_groups) + "_fb" +
+             std::to_string(int(c.forward_backward)) + "_d" +
+             std::to_string(c.fixed_d);
+    });
 
 TEST(GeneralProjectorTest, MatchesNaiveNoiseSum) {
   const double radius = kLambda / 2.0 / (2.0 * std::sin(kPi / 8.0));
