@@ -5,7 +5,7 @@
 // machine's speed and once with processing scaled ~5x to approximate
 // the paper's Matlab backend.
 #include "bench_util.h"
-#include "core/realtime.h"
+#include "service/realtime.h"
 #include "core/simd.h"
 #include "phy/mac.h"
 #include "testbed/office.h"

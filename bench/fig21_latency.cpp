@@ -252,7 +252,6 @@ void emit_telemetry(core::System& sys, int reps, const char* mode,
        {"quant_pruned", double(server.localizer().quant_pruned())},
        {"quant_refined", double(server.localizer().quant_refined())},
        {"steering_table_bytes", double(server.steering_table_bytes())},
-       {"quant_table_bytes", double(server.quant_table_bytes())},
        {"threads", double(core::ThreadPool::shared().size())},
        {"num_aps", double(sys.num_aps())}},
       {{"simd_level", core::simd::name(core::simd::active())},
@@ -270,12 +269,12 @@ void emit_telemetry(core::System& sys, int reps, const char* mode,
       core::simd::name(core::simd::active()));
   std::printf(
       "synthesis sweep: float %.3f ms, quant %.3f ms (%.2fx) | pruned %llu / "
-      "refined %llu cells | steering tables %zu B float, %zu B int16\n",
+      "refined %llu cells | steering tables %zu B\n",
       synthesis_float_ms, synthesis_quant_ms,
       synthesis_quant_ms > 0.0 ? synthesis_float_ms / synthesis_quant_ms : 0.0,
       (unsigned long long)server.localizer().quant_pruned(),
       (unsigned long long)server.localizer().quant_refined(),
-      server.steering_table_bytes(), server.quant_table_bytes());
+      server.steering_table_bytes());
 }
 
 // Tiny scenario for the bench_smoke ctest: three APs in a small room,

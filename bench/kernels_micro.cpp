@@ -1,17 +1,15 @@
 // Per-kernel microbenchmark for the SIMD layer: projector matvec,
 // Bartlett quadratic form, covariance accumulation, forward-backward
 // averaging, the heatmap gather+lerp+product, the batched SoA forms
-// (multi-client heatmap pass, batched spectrum blur), and the int16
-// quantized tier (projector/Bartlett over QuantPlanes, coarse score
-// accumulation), each timed at the scalar level and at the dispatched
-// level, reporting ns/op and the effective memory bandwidth of the
-// streams each kernel touches. Emits BENCH_kernels.json (path
-// overridable with `--out`); `--smoke` runs a fast pass that also
-// cross-checks scalar vs dispatched results (<= 1e-9 relative), pins
-// the batched kernels bitwise against their single-row forms, pins
-// the quant kernels bitwise across every level and against the float
-// kernels within the quantization tolerance, and is registered as the
-// kernels_smoke ctest.
+// (multi-client heatmap pass, batched spectrum blur), and the coarse
+// score accumulation of the quantized position sweep, each timed at
+// the scalar level and at the dispatched level, reporting ns/op and the
+// effective memory bandwidth of the streams each kernel touches. Emits
+// BENCH_kernels.json (path overridable with `--out`); `--smoke` runs a
+// fast pass that also cross-checks scalar vs dispatched results
+// (<= 1e-9 relative), pins the batched kernels bitwise against their
+// single-row forms and the score accumulation exactly at every level,
+// and is registered as the kernels_smoke ctest.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,8 +27,6 @@ using namespace arraytrack;
 using core::simd::ForcedLevel;
 using core::simd::Level;
 using linalg::CoarseLogTable;
-using linalg::QuantPlanes;
-using linalg::QuantVectors;
 using linalg::SplitPlanes;
 
 namespace {
@@ -115,8 +111,6 @@ struct Fixture {
   std::vector<double> fir_in;    // interleaved, kSpecBins + kTaps - 1 samples
   std::vector<double> fir_taps;
   std::vector<double> fir_out;
-  QuantPlanes qtable;            // int16 tier of `table`
-  QuantVectors qvec;             // int16 tier of ev_re/ev_im
   CoarseLogTable coarse;         // round-up log2 pair-max of `power`
   std::vector<std::int32_t> score;
 
@@ -164,8 +158,6 @@ struct Fixture {
     fir_taps.resize(kTaps);
     for (auto& v : fir_taps) v = 0.5 * (u(rng) + 1.0);
     fir_out.resize(kSpecBins * kBatch);
-    qtable = QuantPlanes::quantize(table);
-    qvec = QuantVectors::quantize(ev_re.data(), ev_im.data(), kNvec, kM);
     coarse = linalg::coarse_log_table(power.data(), kSpecBins, 0.05);
     score.assign(kCells, 0);
   }
@@ -238,25 +230,6 @@ int run(bool smoke, const char* out_path) {
       double(((kSpecBins + kTaps - 1) + kSpecBins) * kBatch *
              sizeof(double)));
 
-  // int16 tier: same sweep shapes over the ~3.5x smaller quantized
-  // tables (2 bytes/plane entry + one float scale per row).
-  const double quant_table_stream =
-      double(2 * kBins * kM * sizeof(std::int16_t) + kBins * sizeof(float) +
-             kBins * sizeof(double));
-  const Timing projector_quant = time_levels(
-      [&] {
-        linalg::kernels::projector_power_quant(f.qtable, f.qvec,
-                                               f.sweep_out.data());
-      },
-      800 * scale, quant_table_stream);
-
-  const Timing bartlett_quant = time_levels(
-      [&] {
-        linalg::kernels::bartlett_power_quant(f.qtable, f.herm.data(),
-                                              f.sweep_out.data());
-      },
-      400 * scale, quant_table_stream);
-
   const Timing score_accum = time_levels(
       [&] {
         linalg::kernels::score_accum(f.coarse.pairmax.data(), f.bin0.data(),
@@ -272,8 +245,6 @@ int run(bool smoke, const char* out_path) {
                             {"heatmap", heatmap},
                             {"heatmap_batch", heatmap_batch},
                             {"fir_batch", fir_batch},
-                            {"projector_quant", projector_quant},
-                            {"bartlett_quant", bartlett_quant},
                             {"score_accum", score_accum}};
   std::printf("dispatched level: %s (hardware max %s)\n\n",
               core::simd::name(core::simd::active()),
@@ -292,9 +263,6 @@ int run(bool smoke, const char* out_path) {
   }
   const std::size_t float_bytes = 2 * kBins * kM * sizeof(double);
   fields.push_back({"steering_table_bytes", double(float_bytes)});
-  fields.push_back({"quant_table_bytes", double(f.qtable.bytes())});
-  fields.push_back(
-      {"quant_table_shrink", double(float_bytes) / double(f.qtable.bytes())});
   bench::write_bench_json(
       out_path != nullptr ? out_path : "BENCH_kernels.json", "kernels_micro",
       fields,
@@ -396,43 +364,8 @@ int run(bool smoke, const char* out_path) {
       }
   }
 
-  // Quant tier: bitwise identity across every dispatch level (the
-  // integer cores are exact and the double finalize chains are pinned,
-  // so this is equality, not a tolerance), and agreement with the
-  // float kernels within the int16 quantization error.
-  auto check_quant = [&](const char* what, const std::function<void()>& op,
-                         const double* got, std::size_t n) {
-    std::vector<double> want(n);
-    {
-      ForcedLevel base(Level::kScalar);
-      op();
-      std::copy(got, got + n, want.begin());
-    }
-    for (Level lvl : {Level::kSse2, Level::kAvx2}) {
-      if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
-      ForcedLevel g(lvl);
-      op();
-      if (std::memcmp(got, want.data(), n * sizeof(double))) {
-        std::printf("SMOKE FAIL: %s at %s not bitwise vs scalar\n", what,
-                    core::simd::name(lvl));
-        ++failures;
-      }
-    }
-  };
-  check_quant(
-      "projector_quant",
-      [&] {
-        linalg::kernels::projector_power_quant(f.qtable, f.qvec,
-                                               f.sweep_out.data());
-      },
-      f.sweep_out.data(), kBins);
-  check_quant(
-      "bartlett_quant",
-      [&] {
-        linalg::kernels::bartlett_power_quant(f.qtable, f.herm.data(),
-                                              f.sweep_out.data());
-      },
-      f.sweep_out.data(), kBins);
+  // Coarse score accumulation: integer adds, so every level must be
+  // exact.
   for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
     if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
     ForcedLevel g(lvl);
@@ -446,20 +379,6 @@ int run(bool smoke, const char* out_path) {
         ++failures;
         break;
       }
-  }
-  // Quant vs float: relative error bounded by the int16 grid.
-  std::vector<double> fsweep(kBins), qsweep(kBins);
-  linalg::kernels::projector_power(f.table, f.ev_re.data(), f.ev_im.data(),
-                                   kNvec, fsweep.data());
-  linalg::kernels::projector_power_quant(f.qtable, f.qvec, qsweep.data());
-  double vmax = 0.0, dev = 0.0;
-  for (double v : fsweep) vmax = std::max(vmax, std::abs(v));
-  for (std::size_t i = 0; i < kBins; ++i)
-    dev = std::max(dev, std::abs(qsweep[i] - fsweep[i]));
-  if (dev > 2e-3 * vmax) {
-    std::printf("SMOKE FAIL: projector_quant deviates %.3g (max %.3g)\n", dev,
-                2e-3 * vmax);
-    ++failures;
   }
 
   if (failures == 0) std::printf("smoke: all levels agree with scalar\n");

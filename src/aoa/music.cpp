@@ -68,20 +68,6 @@ std::vector<double> projector_signal_power(const linalg::SplitPlanes& table,
   return signal;
 }
 
-// Quantized twin of projector_signal_power: quantize the basis
-// vectors per call (d * m values — trivial next to the rows * d * m
-// sweep) and run the int16 kernel.
-std::vector<double> quant_signal_power(const linalg::QuantPlanes& table,
-                                       const double* ev_re,
-                                       const double* ev_im,
-                                       std::size_t num_signals) {
-  const linalg::QuantVectors ev =
-      linalg::QuantVectors::quantize(ev_re, ev_im, num_signals, table.m);
-  std::vector<double> signal(table.rows);
-  linalg::kernels::projector_power_quant(table, ev, signal.data());
-  return signal;
-}
-
 }  // namespace
 
 MusicEstimator::MusicEstimator(const array::PlacedArray* array,
@@ -102,7 +88,6 @@ MusicEstimator::MusicEstimator(const array::PlacedArray* array,
   auto table = build_table(*array_, sub, lambda_, opt_.bins / 2 + 1, opt_.bins);
   steering_conj_ = std::move(table.conj_planes);
   steering_norm2_ = std::move(table.norm2);
-  steering_quant_ = linalg::QuantPlanes::quantize(steering_conj_);
 }
 
 std::size_t MusicEstimator::estimate_num_signals(
@@ -155,46 +140,6 @@ AoaSpectrum MusicEstimator::spectrum_from_covariance(
   return spec;
 }
 
-AoaSpectrum MusicEstimator::quant_spectrum_from_covariance(
-    const linalg::CMatrix& r, linalg::SubspaceTracker* tracker) const {
-  if (r.rows() != elements_.size() || r.cols() != elements_.size())
-    throw std::invalid_argument("MusicEstimator: covariance size mismatch");
-
-  linalg::CMatrix rs = spatial_smooth(r, opt_.smoothing_groups);
-  if (opt_.forward_backward) rs = forward_backward(rs);
-
-  std::vector<double> signal;
-  if (tracker != nullptr) {
-    const linalg::SubspaceBasis& basis = tracker->update(rs);
-    signal = quant_signal_power(steering_quant_, basis.re.data(),
-                                basis.im.data(), basis.num_signals);
-  } else {
-    const auto eig = linalg::eig_hermitian(rs);
-    const std::size_t d = estimate_num_signals(eig.eigenvalues);
-    const std::size_t m = steering_quant_.m;
-    std::vector<double> ev_re(d * m), ev_im(d * m);
-    for (std::size_t s = 0; s < d; ++s) {
-      const std::size_t col = m - 1 - s;
-      for (std::size_t k = 0; k < m; ++k) {
-        const cplx e = eig.eigenvectors(k, col);
-        ev_re[s * m + k] = e.real();
-        ev_im[s * m + k] = e.imag();
-      }
-    }
-    signal = quant_signal_power(steering_quant_, ev_re.data(), ev_im.data(), d);
-  }
-
-  AoaSpectrum spec(opt_.bins);
-  const std::size_t half = opt_.bins / 2;
-  for (std::size_t i = 0; i <= half; ++i) {
-    const double denom = steering_norm2_[i] - signal[i];
-    const double p = 1.0 / std::max(denom, 1e-12);
-    spec[i] = p;
-    spec[(opt_.bins - i) % opt_.bins] = p;
-  }
-  return spec;
-}
-
 GeneralMusic::GeneralMusic(const array::PlacedArray* array,
                            std::vector<std::size_t> elements, double lambda_m,
                            GeneralMusicOptions opt)
@@ -207,7 +152,6 @@ GeneralMusic::GeneralMusic(const array::PlacedArray* array,
   auto table = build_table(*array_, elements_, lambda_, opt_.bins, opt_.bins);
   steering_conj_ = std::move(table.conj_planes);
   steering_norm2_ = std::move(table.norm2);
-  steering_quant_ = linalg::QuantPlanes::quantize(steering_conj_);
 }
 
 AoaSpectrum GeneralMusic::spectrum(const linalg::CMatrix& snapshots) const {
@@ -224,33 +168,6 @@ AoaSpectrum GeneralMusic::spectrum_from_covariance(
   const std::size_t d = linalg::signal_count(eig.eigenvalues, opt_.eig_threshold,
                                              opt_.fixed_num_signals);
   const auto signal = projector_signal_power(steering_conj_, eig.eigenvectors, d);
-  AoaSpectrum spec(opt_.bins);
-  for (std::size_t i = 0; i < opt_.bins; ++i) {
-    const double denom = steering_norm2_[i] - signal[i];
-    spec[i] = 1.0 / std::max(denom, 1e-12);
-  }
-  return spec;
-}
-
-AoaSpectrum GeneralMusic::quant_spectrum_from_covariance(
-    const linalg::CMatrix& r) const {
-  if (r.rows() != elements_.size())
-    throw std::invalid_argument("GeneralMusic: covariance size mismatch");
-  const auto eig = linalg::eig_hermitian(r);
-  const std::size_t d = linalg::signal_count(eig.eigenvalues, opt_.eig_threshold,
-                                             opt_.fixed_num_signals);
-  const std::size_t m = steering_quant_.m;
-  std::vector<double> ev_re(d * m), ev_im(d * m);
-  for (std::size_t s = 0; s < d; ++s) {
-    const std::size_t col = m - 1 - s;
-    for (std::size_t k = 0; k < m; ++k) {
-      const cplx e = eig.eigenvectors(k, col);
-      ev_re[s * m + k] = e.real();
-      ev_im[s * m + k] = e.imag();
-    }
-  }
-  const auto signal =
-      quant_signal_power(steering_quant_, ev_re.data(), ev_im.data(), d);
   AoaSpectrum spec(opt_.bins);
   for (std::size_t i = 0; i < opt_.bins; ++i) {
     const double denom = steering_norm2_[i] - signal[i];
@@ -289,16 +206,6 @@ AoaSpectrum bartlett_spectrum(const linalg::SplitPlanes& steering,
     throw std::invalid_argument("bartlett_spectrum: covariance size mismatch");
   AoaSpectrum spec(steering.rows);
   linalg::kernels::bartlett_power(steering, r.data(), &spec[0]);
-  return spec;
-}
-
-AoaSpectrum bartlett_spectrum_quant(const linalg::QuantPlanes& steering,
-                                    const linalg::CMatrix& r) {
-  if (r.rows() != steering.m)
-    throw std::invalid_argument(
-        "bartlett_spectrum_quant: covariance size mismatch");
-  AoaSpectrum spec(steering.rows);
-  linalg::kernels::bartlett_power_quant(steering, r.data(), &spec[0]);
   return spec;
 }
 

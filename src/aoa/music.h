@@ -55,26 +55,12 @@ class MusicEstimator {
   AoaSpectrum spectrum_from_covariance(
       const linalg::CMatrix& r, linalg::SubspaceTracker* tracker = nullptr) const;
 
-  /// Coarse spectrum through the quantized int16 tier: the signal
-  /// basis is quantized per call and the sweep runs
-  /// kernels::projector_power_quant over the int16 steering table.
-  /// Bitwise identical across SIMD levels (the quant kernels'
-  /// contract) and within the committed guard band of the float
-  /// spectrum — this is the pass an embedded AP frontend would run,
-  /// and what the benches and error-bound tests measure. The float
-  /// serving path never consumes it directly (served spectra must stay
-  /// byte-identical), so it carries no pruning logic here.
-  AoaSpectrum quant_spectrum_from_covariance(
-      const linalg::CMatrix& r, linalg::SubspaceTracker* tracker = nullptr) const;
-
-  /// Steering-table footprints in bytes (float tier / int16 tier);
-  /// the quantized table is ~3.5x smaller at m = 7.
+  /// Steering-table footprint in bytes.
   std::size_t steering_table_bytes() const {
     return (steering_conj_.re.size() + steering_conj_.im.size()) *
                sizeof(double) +
            steering_norm2_.size() * sizeof(double);
   }
-  std::size_t quant_table_bytes() const { return steering_quant_.bytes(); }
 
   /// Signal count chosen for a sorted-ascending eigenvalue list
   /// (delegates to linalg::signal_count with this estimator's options).
@@ -110,9 +96,6 @@ class MusicEstimator {
   /// |a_i|^2 per table row (== 1 up to rounding); using the exact
   /// value keeps the projector identity tight.
   std::vector<double> steering_norm2_;
-  /// int16 tier of steering_conj_ (per-row scales), built once at
-  /// construction for the quantized coarse pass.
-  linalg::QuantPlanes steering_quant_;
 };
 
 /// MUSIC for an arbitrary (non-linear) element set — circular arrays,
@@ -135,16 +118,11 @@ class GeneralMusic {
   AoaSpectrum spectrum(const linalg::CMatrix& snapshots) const;
   AoaSpectrum spectrum_from_covariance(const linalg::CMatrix& r) const;
 
-  /// Coarse full-circle spectrum through the int16 tier (see
-  /// MusicEstimator::quant_spectrum_from_covariance).
-  AoaSpectrum quant_spectrum_from_covariance(const linalg::CMatrix& r) const;
-
   std::size_t steering_table_bytes() const {
     return (steering_conj_.re.size() + steering_conj_.im.size()) *
                sizeof(double) +
            steering_norm2_.size() * sizeof(double);
   }
-  std::size_t quant_table_bytes() const { return steering_quant_.bytes(); }
 
  private:
   const array::PlacedArray* array_;
@@ -157,7 +135,6 @@ class GeneralMusic {
   /// per spectrum call used to dominate the sweep.
   linalg::SplitPlanes steering_conj_;
   std::vector<double> steering_norm2_;
-  linalg::QuantPlanes steering_quant_;
 };
 
 /// Bartlett (conventional beamformer) spectrum over the full circle:
@@ -192,11 +169,5 @@ AoaSpectrum bartlett_spectrum(const linalg::CMatrix& steering_rows,
 /// Bartlett spectrum from a precomputed split-complex steering table.
 AoaSpectrum bartlett_spectrum(const linalg::SplitPlanes& steering,
                               const linalg::CMatrix& r);
-
-/// Bartlett spectrum through the quantized int16 tier (quantize the
-/// split table once with linalg::QuantPlanes::quantize, then sweep
-/// many covariances through it at a quarter of the table traffic).
-AoaSpectrum bartlett_spectrum_quant(const linalg::QuantPlanes& steering,
-                                    const linalg::CMatrix& r);
 
 }  // namespace arraytrack::aoa

@@ -61,13 +61,6 @@ std::size_t ArrayTrackServer::steering_table_bytes() const {
   return total;
 }
 
-std::size_t ArrayTrackServer::quant_table_bytes() const {
-  std::size_t total = 0;
-  for (const auto& entry : aps_)
-    total += entry.processor->music().quant_table_bytes();
-  return total;
-}
-
 void ArrayTrackServer::set_pipeline(const PipelineOptions& pipeline) {
   opt_.pipeline = pipeline;
   for (auto& entry : aps_)

@@ -88,9 +88,8 @@ class ArrayTrackServer {
   bool quantized_sweep() const { return localizer_.quantized_sweep(); }
 
   /// Aggregate steering-table footprint across every registered AP's
-  /// MUSIC estimator: float tier and the ~3.5x smaller int16 tier.
+  /// MUSIC estimator.
   std::size_t steering_table_bytes() const;
-  std::size_t quant_table_bytes() const;
 
   /// Registers an AP; the front end must outlive the server.
   void register_ap(const phy::AccessPointFrontEnd* ap);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -53,18 +51,7 @@ std::string Heatmap::to_ascii(std::size_t width) const {
 }
 
 Localizer::Localizer(geom::Rect bounds, LocalizerOptions opt)
-    : bounds_(bounds), opt_(opt), quant_enabled_(opt.quantized_sweep) {
-  // ARRAYTRACK_QUANT overrides the option either way — same shape as
-  // the ARRAYTRACK_EXACT_EVD / ARRAYTRACK_BATCH escape hatches.
-  if (const char* env = std::getenv("ARRAYTRACK_QUANT")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "false") == 0)
-      quant_enabled_ = false;
-    else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-             std::strcmp(env, "true") == 0)
-      quant_enabled_ = true;
-  }
-}
+    : bounds_(bounds), opt_(opt), quant_enabled_(opt.quantized_sweep) {}
 
 double Localizer::likelihood(const std::vector<ApSpectrum>& aps,
                              const geom::Vec2& x) const {

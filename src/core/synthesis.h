@@ -50,8 +50,7 @@ struct LocalizerOptions {
   /// evaluates only the cells whose bound clears the top-K threshold
   /// with the existing float kernels, and feeds refinement the same
   /// top-K order and bitwise-equal values the dense float sweep would
-  /// produce — fix sets are byte-identical with this on or off. The
-  /// ARRAYTRACK_QUANT env var ("on"/"off") overrides at construction.
+  /// produce — fix sets are byte-identical with this on or off.
   bool quantized_sweep = true;
 };
 
@@ -111,7 +110,7 @@ class Localizer {
       const std::vector<std::vector<ApSpectrum>>& batch) const;
 
   /// Kill switch for the quantized coarse-to-fine sweep (overrides the
-  /// option/env chosen at construction); off is bitwise-identical to
+  /// option chosen at construction); off is bitwise-identical to
   /// the all-float path by construction, on is too — the switch exists
   /// for A/B latency measurement and as an escape hatch.
   void set_quantized_sweep(bool on) { quant_enabled_ = on; }

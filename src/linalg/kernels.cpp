@@ -854,67 +854,9 @@ void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
 
 }  // namespace arraytrack::linalg::kernels
 
-// ------------------------------------------------------------ quantizers
+// ------------------------------------------------ coarse score tables
 
 namespace arraytrack::linalg {
-
-QuantPlanes QuantPlanes::quantize(const SplitPlanes& t) {
-  QuantPlanes q;
-  q.rows = t.rows;
-  q.m = t.m;
-  q.pitch = t.rows;
-  q.re.assign(q.m * q.pitch, 0);
-  q.im.assign(q.m * q.pitch, 0);
-  q.scale.assign(q.rows, 0.0f);
-  for (std::size_t i = 0; i < t.rows; ++i) {
-    double amax = 0.0;
-    for (std::size_t k = 0; k < t.m; ++k) {
-      amax = std::max(amax, std::abs(t.re[k * t.pitch + i]));
-      amax = std::max(amax, std::abs(t.im[k * t.pitch + i]));
-    }
-    // Widen the scale one float ulp so float(amax / 32767) rounding
-    // can never push a quantized magnitude past 32767.
-    const float s = amax > 0.0 ? float(amax / 32766.0) : 1.0f;
-    q.scale[i] = s;
-    for (std::size_t k = 0; k < t.m; ++k) {
-      const auto clamp16 = [](double v) {
-        return std::int16_t(std::max(-32767.0, std::min(32767.0, v)));
-      };
-      q.re[k * q.pitch + i] =
-          clamp16(std::nearbyint(t.re[k * t.pitch + i] / double(s)));
-      q.im[k * q.pitch + i] =
-          clamp16(std::nearbyint(t.im[k * t.pitch + i] / double(s)));
-    }
-  }
-  return q;
-}
-
-QuantVectors QuantVectors::quantize(const double* ev_re, const double* ev_im,
-                                    std::size_t nvec, std::size_t m) {
-  QuantVectors q;
-  q.nvec = nvec;
-  q.m = m;
-  q.re.assign(nvec * m, 0);
-  q.im.assign(nvec * m, 0);
-  q.scale.assign(nvec, 0.0f);
-  for (std::size_t s = 0; s < nvec; ++s) {
-    double amax = 0.0;
-    for (std::size_t k = 0; k < m; ++k) {
-      amax = std::max(amax, std::abs(ev_re[s * m + k]));
-      amax = std::max(amax, std::abs(ev_im[s * m + k]));
-    }
-    const float sc = amax > 0.0 ? float(amax / 1022.0) : 1.0f;
-    q.scale[s] = sc;
-    for (std::size_t k = 0; k < m; ++k) {
-      const auto clamp10 = [](double v) {
-        return std::int16_t(std::max(-1023.0, std::min(1023.0, v)));
-      };
-      q.re[s * m + k] = clamp10(std::nearbyint(ev_re[s * m + k] / double(sc)));
-      q.im[s * m + k] = clamp10(std::nearbyint(ev_im[s * m + k] / double(sc)));
-    }
-  }
-  return q;
-}
 
 namespace {
 
@@ -971,76 +913,8 @@ CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
 
 }  // namespace arraytrack::linalg
 
-// -------------------------------------------------------- quant kernels
-//
-// Determinism contract for the int16 tier: the multiply-accumulate
-// core is exact integer arithmetic (widening 16x16 -> 32-bit), and the
-// int32 -> double finalize performs the same sequence of separately
-// rounded double operations at every dispatch level (the AVX2 paths
-// are compiled without FMA in the target ISA so the compiler cannot
-// contract them). Results are therefore bitwise identical across
-// scalar/SSE2/AVX2 — not merely 1e-9-close like the float kernels.
-
 namespace arraytrack::linalg::kernels {
 namespace {
-
-void projector_power_quant_scalar(const QuantPlanes& t, const QuantVectors& ev,
-                                  double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      std::int32_t ar = 0, ai = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::int32_t cr = t.re[k * pitch + i];
-        const std::int32_t ci = t.im[k * pitch + i];
-        const std::int32_t er = ev.re[s * m + k];
-        const std::int32_t ei = ev.im[s * m + k];
-        ar += cr * er - ci * ei;
-        ai += cr * ei + ci * er;
-      }
-      const double se = double(ev.scale[s]);
-      const double se2 = se * se;
-      const double ard = double(ar), aid = double(ai);
-      double sq = ard * ard;
-      const double sq2 = aid * aid;
-      sq = sq + sq2;
-      sq = sq * se2;
-      acc = acc + sq;
-    }
-    const double si = double(t.scale[i]);
-    const double si2 = si * si;
-    out[i] = acc * si2;
-  }
-}
-
-void bartlett_power_quant_scalar(const QuantPlanes& t, const std::int32_t* qre,
-                                 const std::int32_t* qim, double rscale,
-                                 double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::int32_t pj = t.re[j * pitch + i];
-      const std::int32_t qj = t.im[j * pitch + i];
-      const std::int32_t mag = pj * pj + qj * qj;
-      acc = acc + double(mag) * double(qre[j * m + j]);
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const std::int32_t pk = t.re[k * pitch + i];
-        const std::int32_t qk = t.im[k * pitch + i];
-        const std::int32_t dotr = pj * pk + qj * qk;
-        const std::int32_t doti = pj * qk - qj * pk;
-        double w = double(qre[j * m + k]) * double(dotr);
-        w = w - double(qim[j * m + k]) * double(doti);
-        acc = acc + w * 2.0;
-      }
-    }
-    const double si = double(t.scale[i]);
-    double f = si * si;
-    f = f * rscale;
-    out[i] = acc * f;
-  }
-}
 
 void score_accum_scalar(const std::int32_t* table, const std::int32_t* bin0,
                         std::size_t count, std::int32_t* score) {
@@ -1048,366 +922,6 @@ void score_accum_scalar(const std::int32_t* table, const std::int32_t* bin0,
 }
 
 #if AT_KERNELS_X86
-
-// Packs the two int16 halves of a pmaddwd broadcast operand: the low
-// word multiplies the first element of each (re, im) pair, the high
-// word the second.
-inline std::int32_t madd_pair(std::int16_t lo, std::int16_t hi) {
-  return std::int32_t(std::uint16_t(lo)) |
-         (std::int32_t(std::uint16_t(hi)) << 16);
-}
-
-AT_TARGET_SSE2
-void projector_power_quant_sse2(const QuantPlanes& t, const QuantVectors& ev,
-                                double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  std::size_t i = 0;
-  for (; i + 8 <= rows; i += 8) {
-    __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-    __m128d acc45 = _mm_setzero_pd(), acc67 = _mm_setzero_pd();
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      __m128i ar_lo = _mm_setzero_si128(), ar_hi = _mm_setzero_si128();
-      __m128i ai_lo = _mm_setzero_si128(), ai_hi = _mm_setzero_si128();
-      for (std::size_t k = 0; k < m; ++k) {
-        const __m128i cr = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(t.re.data() + k * pitch + i));
-        const __m128i ci = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(t.im.data() + k * pitch + i));
-        const __m128i lo = _mm_unpacklo_epi16(cr, ci);  // rows i..i+3
-        const __m128i hi = _mm_unpackhi_epi16(cr, ci);  // rows i+4..i+7
-        const std::int16_t er = ev.re[s * m + k];
-        const std::int16_t ei = ev.im[s * m + k];
-        const __m128i bar = _mm_set1_epi32(madd_pair(er, std::int16_t(-ei)));
-        const __m128i bai = _mm_set1_epi32(madd_pair(ei, er));
-        ar_lo = _mm_add_epi32(ar_lo, _mm_madd_epi16(lo, bar));
-        ar_hi = _mm_add_epi32(ar_hi, _mm_madd_epi16(hi, bar));
-        ai_lo = _mm_add_epi32(ai_lo, _mm_madd_epi16(lo, bai));
-        ai_hi = _mm_add_epi32(ai_hi, _mm_madd_epi16(hi, bai));
-      }
-      const double se = double(ev.scale[s]);
-      const __m128d se2 = _mm_set1_pd(se * se);
-      const auto fold = [se2](__m128d acc, __m128i ar2, __m128i ai2) {
-        const __m128d ard = _mm_cvtepi32_pd(ar2);
-        const __m128d aid = _mm_cvtepi32_pd(ai2);
-        __m128d sq = _mm_mul_pd(ard, ard);
-        const __m128d sq2 = _mm_mul_pd(aid, aid);
-        sq = _mm_add_pd(sq, sq2);
-        sq = _mm_mul_pd(sq, se2);
-        return _mm_add_pd(acc, sq);
-      };
-      acc01 = fold(acc01, ar_lo, ai_lo);
-      acc23 = fold(acc23, _mm_shuffle_epi32(ar_lo, _MM_SHUFFLE(1, 0, 3, 2)),
-                   _mm_shuffle_epi32(ai_lo, _MM_SHUFFLE(1, 0, 3, 2)));
-      acc45 = fold(acc45, ar_hi, ai_hi);
-      acc67 = fold(acc67, _mm_shuffle_epi32(ar_hi, _MM_SHUFFLE(1, 0, 3, 2)),
-                   _mm_shuffle_epi32(ai_hi, _MM_SHUFFLE(1, 0, 3, 2)));
-    }
-    const __m128 f03 = _mm_loadu_ps(t.scale.data() + i);
-    const __m128 f47 = _mm_loadu_ps(t.scale.data() + i + 4);
-    const auto store2 = [](double* dst, __m128d acc, __m128d sf) {
-      const __m128d si2 = _mm_mul_pd(sf, sf);
-      _mm_storeu_pd(dst, _mm_mul_pd(acc, si2));
-    };
-    store2(out + i, acc01, _mm_cvtps_pd(f03));
-    store2(out + i + 2, acc23, _mm_cvtps_pd(_mm_movehl_ps(f03, f03)));
-    store2(out + i + 4, acc45, _mm_cvtps_pd(f47));
-    store2(out + i + 6, acc67, _mm_cvtps_pd(_mm_movehl_ps(f47, f47)));
-  }
-  // Scalar tail: integers are exact and the double chain matches the
-  // lane chain op-for-op, so tail rows equal their vector-lane bits.
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      std::int32_t ar = 0, ai = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::int32_t cr = t.re[k * pitch + i];
-        const std::int32_t ci = t.im[k * pitch + i];
-        const std::int32_t er = ev.re[s * m + k];
-        const std::int32_t ei = ev.im[s * m + k];
-        ar += cr * er - ci * ei;
-        ai += cr * ei + ci * er;
-      }
-      const double se = double(ev.scale[s]);
-      const double se2 = se * se;
-      const double ard = double(ar), aid = double(ai);
-      double sq = ard * ard;
-      const double sq2 = aid * aid;
-      sq = sq + sq2;
-      sq = sq * se2;
-      acc = acc + sq;
-    }
-    const double si = double(t.scale[i]);
-    const double si2 = si * si;
-    out[i] = acc * si2;
-  }
-}
-
-AT_TARGET_SSE2
-void bartlett_power_quant_sse2(const QuantPlanes& t, const std::int32_t* qre,
-                               const std::int32_t* qim, double rscale,
-                               double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  std::size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-    for (std::size_t j = 0; j < m; ++j) {
-      const __m128i pj = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(t.re.data() + j * pitch + i));
-      const __m128i qj = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(t.im.data() + j * pitch + i));
-      const __m128i pairj = _mm_unpacklo_epi16(pj, qj);  // 4 (p,q) pairs
-      const __m128i mag = _mm_madd_epi16(pairj, pairj);
-      const __m128d rd = _mm_set1_pd(double(qre[j * m + j]));
-      acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_cvtepi32_pd(mag), rd));
-      const __m128i maghi = _mm_shuffle_epi32(mag, _MM_SHUFFLE(1, 0, 3, 2));
-      acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_cvtepi32_pd(maghi), rd));
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const __m128i pk = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(t.re.data() + k * pitch + i));
-        const __m128i qk = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(t.im.data() + k * pitch + i));
-        const __m128i pairk = _mm_unpacklo_epi16(pk, qk);
-        const __m128i negpk = _mm_sub_epi16(_mm_setzero_si128(), pk);
-        const __m128i pairki = _mm_unpacklo_epi16(qk, negpk);  // (q, -p)
-        const __m128i dotr = _mm_madd_epi16(pairj, pairk);
-        const __m128i doti = _mm_madd_epi16(pairj, pairki);
-        const __m128d u = _mm_set1_pd(double(qre[j * m + k]));
-        const __m128d v = _mm_set1_pd(double(qim[j * m + k]));
-        const __m128d two = _mm_set1_pd(2.0);
-        const auto off = [u, v, two](__m128d acc, __m128i dr, __m128i di) {
-          __m128d w = _mm_mul_pd(u, _mm_cvtepi32_pd(dr));
-          w = _mm_sub_pd(w, _mm_mul_pd(v, _mm_cvtepi32_pd(di)));
-          return _mm_add_pd(acc, _mm_mul_pd(w, two));
-        };
-        acc01 = off(acc01, dotr, doti);
-        acc23 = off(acc23, _mm_shuffle_epi32(dotr, _MM_SHUFFLE(1, 0, 3, 2)),
-                    _mm_shuffle_epi32(doti, _MM_SHUFFLE(1, 0, 3, 2)));
-      }
-    }
-    const __m128 sf = _mm_loadu_ps(t.scale.data() + i);
-    const __m128d rs = _mm_set1_pd(rscale);
-    const auto store2 = [rs](double* dst, __m128d acc, __m128d sd) {
-      __m128d f = _mm_mul_pd(sd, sd);
-      f = _mm_mul_pd(f, rs);
-      _mm_storeu_pd(dst, _mm_mul_pd(acc, f));
-    };
-    store2(out + i, acc01, _mm_cvtps_pd(sf));
-    store2(out + i + 2, acc23, _mm_cvtps_pd(_mm_movehl_ps(sf, sf)));
-  }
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::int32_t pj = t.re[j * pitch + i];
-      const std::int32_t qj = t.im[j * pitch + i];
-      const std::int32_t mag = pj * pj + qj * qj;
-      acc = acc + double(mag) * double(qre[j * m + j]);
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const std::int32_t pk = t.re[k * pitch + i];
-        const std::int32_t qk = t.im[k * pitch + i];
-        const std::int32_t dotr = pj * pk + qj * qk;
-        const std::int32_t doti = pj * qk - qj * pk;
-        double w = double(qre[j * m + k]) * double(dotr);
-        w = w - double(qim[j * m + k]) * double(doti);
-        acc = acc + w * 2.0;
-      }
-    }
-    const double si = double(t.scale[i]);
-    double f = si * si;
-    f = f * rscale;
-    out[i] = acc * f;
-  }
-}
-
-// Lambdas do not inherit the enclosing function's target attribute, so
-// the AVX2 quant helpers are standalone targeted functions.
-AT_TARGET_AVX2_NOFMA
-inline __m256d quant_fold_avx2(__m256d acc4, __m128i ar4, __m128i ai4,
-                               __m256d se2) {
-  const __m256d ard = _mm256_cvtepi32_pd(ar4);
-  const __m256d aid = _mm256_cvtepi32_pd(ai4);
-  __m256d sq = _mm256_mul_pd(ard, ard);
-  const __m256d sq2 = _mm256_mul_pd(aid, aid);
-  sq = _mm256_add_pd(sq, sq2);
-  sq = _mm256_mul_pd(sq, se2);
-  return _mm256_add_pd(acc4, sq);
-}
-
-AT_TARGET_AVX2_NOFMA
-inline void quant_store4_avx2(double* dst, __m256d acc4, __m128 sf) {
-  const __m256d sd = _mm256_cvtps_pd(sf);
-  const __m256d si2 = _mm256_mul_pd(sd, sd);
-  _mm256_storeu_pd(dst, _mm256_mul_pd(acc4, si2));
-}
-
-AT_TARGET_AVX2_NOFMA
-inline __m256d quant_off_avx2(__m256d acc4, __m128i dr, __m128i di, __m256d u,
-                              __m256d v, __m256d two) {
-  __m256d w = _mm256_mul_pd(u, _mm256_cvtepi32_pd(dr));
-  w = _mm256_sub_pd(w, _mm256_mul_pd(v, _mm256_cvtepi32_pd(di)));
-  return _mm256_add_pd(acc4, _mm256_mul_pd(w, two));
-}
-
-AT_TARGET_AVX2_NOFMA
-inline void quant_store4_scaled_avx2(double* dst, __m256d acc4, __m128 sf,
-                                     __m256d rs) {
-  const __m256d sd = _mm256_cvtps_pd(sf);
-  __m256d f = _mm256_mul_pd(sd, sd);
-  f = _mm256_mul_pd(f, rs);
-  _mm256_storeu_pd(dst, _mm256_mul_pd(acc4, f));
-}
-
-AT_TARGET_AVX2_NOFMA
-void projector_power_quant_avx2(const QuantPlanes& t, const QuantVectors& ev,
-                                double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  std::size_t i = 0;
-  for (; i + 16 <= rows; i += 16) {
-    // Lane order after 256-bit unpack: low 128 covers rows i..i+3 and
-    // i+8..i+11, high 128 rows i+4..i+7 and i+12..i+15.
-    __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                      _mm256_setzero_pd(), _mm256_setzero_pd()};
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      __m256i ar_lo = _mm256_setzero_si256(), ar_hi = _mm256_setzero_si256();
-      __m256i ai_lo = _mm256_setzero_si256(), ai_hi = _mm256_setzero_si256();
-      for (std::size_t k = 0; k < m; ++k) {
-        const __m256i cr = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(t.re.data() + k * pitch + i));
-        const __m256i ci = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(t.im.data() + k * pitch + i));
-        const __m256i lo = _mm256_unpacklo_epi16(cr, ci);
-        const __m256i hi = _mm256_unpackhi_epi16(cr, ci);
-        const std::int16_t er = ev.re[s * m + k];
-        const std::int16_t ei = ev.im[s * m + k];
-        const __m256i bar =
-            _mm256_set1_epi32(madd_pair(er, std::int16_t(-ei)));
-        const __m256i bai = _mm256_set1_epi32(madd_pair(ei, er));
-        ar_lo = _mm256_add_epi32(ar_lo, _mm256_madd_epi16(lo, bar));
-        ar_hi = _mm256_add_epi32(ar_hi, _mm256_madd_epi16(hi, bar));
-        ai_lo = _mm256_add_epi32(ai_lo, _mm256_madd_epi16(lo, bai));
-        ai_hi = _mm256_add_epi32(ai_hi, _mm256_madd_epi16(hi, bai));
-      }
-      const double se = double(ev.scale[s]);
-      const __m256d se2 = _mm256_set1_pd(se * se);
-      acc[0] = quant_fold_avx2(acc[0], _mm256_castsi256_si128(ar_lo),
-                               _mm256_castsi256_si128(ai_lo), se2);  // i..i+3
-      acc[1] = quant_fold_avx2(acc[1], _mm256_castsi256_si128(ar_hi),
-                               _mm256_castsi256_si128(ai_hi), se2);  // +4..+7
-      acc[2] = quant_fold_avx2(acc[2], _mm256_extracti128_si256(ar_lo, 1),
-                               _mm256_extracti128_si256(ai_lo, 1),
-                               se2);  // i+8..i+11
-      acc[3] = quant_fold_avx2(acc[3], _mm256_extracti128_si256(ar_hi, 1),
-                               _mm256_extracti128_si256(ai_hi, 1),
-                               se2);  // i+12..i+15
-    }
-    quant_store4_avx2(out + i, acc[0], _mm_loadu_ps(t.scale.data() + i));
-    quant_store4_avx2(out + i + 4, acc[1],
-                      _mm_loadu_ps(t.scale.data() + i + 4));
-    quant_store4_avx2(out + i + 8, acc[2],
-                      _mm_loadu_ps(t.scale.data() + i + 8));
-    quant_store4_avx2(out + i + 12, acc[3],
-                      _mm_loadu_ps(t.scale.data() + i + 12));
-  }
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      std::int32_t ar = 0, ai = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::int32_t cr = t.re[k * pitch + i];
-        const std::int32_t ci = t.im[k * pitch + i];
-        const std::int32_t er = ev.re[s * m + k];
-        const std::int32_t ei = ev.im[s * m + k];
-        ar += cr * er - ci * ei;
-        ai += cr * ei + ci * er;
-      }
-      const double se = double(ev.scale[s]);
-      const double se2 = se * se;
-      const double ard = double(ar), aid = double(ai);
-      double sq = ard * ard;
-      const double sq2 = aid * aid;
-      sq = sq + sq2;
-      sq = sq * se2;
-      acc = acc + sq;
-    }
-    const double si = double(t.scale[i]);
-    const double si2 = si * si;
-    out[i] = acc * si2;
-  }
-}
-
-AT_TARGET_AVX2_NOFMA
-void bartlett_power_quant_avx2(const QuantPlanes& t, const std::int32_t* qre,
-                               const std::int32_t* qim, double rscale,
-                               double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  std::size_t i = 0;
-  for (; i + 8 <= rows; i += 8) {
-    __m256d acc03 = _mm256_setzero_pd(), acc47 = _mm256_setzero_pd();
-    for (std::size_t j = 0; j < m; ++j) {
-      const __m128i pj = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(t.re.data() + j * pitch + i));
-      const __m128i qj = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(t.im.data() + j * pitch + i));
-      // Row-ordered halves: low 128 rows i..i+3, high rows i+4..i+7.
-      const __m256i pairj = _mm256_set_m128i(_mm_unpackhi_epi16(pj, qj),
-                                             _mm_unpacklo_epi16(pj, qj));
-      const __m256i mag = _mm256_madd_epi16(pairj, pairj);
-      const __m256d rd = _mm256_set1_pd(double(qre[j * m + j]));
-      acc03 = _mm256_add_pd(
-          acc03,
-          _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(mag)), rd));
-      acc47 = _mm256_add_pd(
-          acc47, _mm256_mul_pd(
-                     _mm256_cvtepi32_pd(_mm256_extracti128_si256(mag, 1)), rd));
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const __m128i pk = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(t.re.data() + k * pitch + i));
-        const __m128i qk = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(t.im.data() + k * pitch + i));
-        const __m256i pairk = _mm256_set_m128i(_mm_unpackhi_epi16(pk, qk),
-                                               _mm_unpacklo_epi16(pk, qk));
-        const __m128i negpk = _mm_sub_epi16(_mm_setzero_si128(), pk);
-        const __m256i pairki = _mm256_set_m128i(
-            _mm_unpackhi_epi16(qk, negpk), _mm_unpacklo_epi16(qk, negpk));
-        const __m256i dotr = _mm256_madd_epi16(pairj, pairk);
-        const __m256i doti = _mm256_madd_epi16(pairj, pairki);
-        const __m256d u = _mm256_set1_pd(double(qre[j * m + k]));
-        const __m256d v = _mm256_set1_pd(double(qim[j * m + k]));
-        const __m256d two = _mm256_set1_pd(2.0);
-        acc03 = quant_off_avx2(acc03, _mm256_castsi256_si128(dotr),
-                               _mm256_castsi256_si128(doti), u, v, two);
-        acc47 = quant_off_avx2(acc47, _mm256_extracti128_si256(dotr, 1),
-                               _mm256_extracti128_si256(doti, 1), u, v, two);
-      }
-    }
-    const __m256d rs = _mm256_set1_pd(rscale);
-    quant_store4_scaled_avx2(out + i, acc03,
-                             _mm_loadu_ps(t.scale.data() + i), rs);
-    quant_store4_scaled_avx2(out + i + 4, acc47,
-                             _mm_loadu_ps(t.scale.data() + i + 4), rs);
-  }
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::int32_t pj = t.re[j * pitch + i];
-      const std::int32_t qj = t.im[j * pitch + i];
-      const std::int32_t mag = pj * pj + qj * qj;
-      acc = acc + double(mag) * double(qre[j * m + j]);
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const std::int32_t pk = t.re[k * pitch + i];
-        const std::int32_t qk = t.im[k * pitch + i];
-        const std::int32_t dotr = pj * pk + qj * qk;
-        const std::int32_t doti = pj * qk - qj * pk;
-        double w = double(qre[j * m + k]) * double(dotr);
-        w = w - double(qim[j * m + k]) * double(doti);
-        acc = acc + w * 2.0;
-      }
-    }
-    const double si = double(t.scale[i]);
-    double f = si * si;
-    f = f * rscale;
-    out[i] = acc * f;
-  }
-}
 
 AT_TARGET_AVX2
 void score_accum_avx2(const std::int32_t* table, const std::int32_t* bin0,
@@ -1503,50 +1017,6 @@ std::size_t score_collect_ge_scalar(const std::int32_t* v, std::size_t n,
 }
 
 }  // namespace
-
-void projector_power_quant(const QuantPlanes& t, const QuantVectors& ev,
-                           double* out) {
-#if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return projector_power_quant_avx2(t, ev, out);
-    case Level::kSse2:
-      return projector_power_quant_sse2(t, ev, out);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  projector_power_quant_scalar(t, ev, out);
-}
-
-void bartlett_power_quant(const QuantPlanes& t, const cplx* r, double* out) {
-  // Quantize the Hermitian operand once per call (m x m is tiny next
-  // to the rows x m^2 sweep) in shared code, so every level consumes
-  // identical integers.
-  const std::size_t m = t.m;
-  double amax = 0.0;
-  for (std::size_t e = 0; e < m * m; ++e) {
-    amax = std::max(amax, std::abs(r[e].real()));
-    amax = std::max(amax, std::abs(r[e].imag()));
-  }
-  const double rscale = amax > 0.0 ? amax / 32767.0 : 1.0;
-  std::vector<std::int32_t> qre(m * m), qim(m * m);
-  for (std::size_t e = 0; e < m * m; ++e) {
-    qre[e] = std::int32_t(std::nearbyint(r[e].real() / rscale));
-    qim[e] = std::int32_t(std::nearbyint(r[e].imag() / rscale));
-  }
-#if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return bartlett_power_quant_avx2(t, qre.data(), qim.data(), rscale, out);
-    case Level::kSse2:
-      return bartlett_power_quant_sse2(t, qre.data(), qim.data(), rscale, out);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  bartlett_power_quant_scalar(t, qre.data(), qim.data(), rscale, out);
-}
 
 void score_accum(const std::int32_t* table, const std::int32_t* bin0,
                  std::size_t count, std::int32_t* score) {

@@ -51,48 +51,6 @@ struct SplitPlanes {
   }
 };
 
-/// Quantized split-complex table: the int16 tier of SplitPlanes. Each
-/// row i (one swept bin) is stored as int16 re/im planes plus one
-/// float scale factor, value ~= q * scale[row], with q clamped to
-/// [-32767, 32767] (never -32768, so widening 16x16 multiplies cannot
-/// hit the 2^31 pmaddwd corner). For m antennas the footprint is
-/// 4*m + 4 bytes per row against SplitPlanes' 16*m — ~3.5x smaller at
-/// m = 7 — which is what lets a whole office's steering tables sit in
-/// L2 and what an RP2040-class AP frontend would consume directly.
-struct QuantPlanes {
-  std::size_t rows = 0;
-  std::size_t m = 0;
-  std::size_t pitch = 0;
-  std::vector<std::int16_t> re, im;
-  std::vector<float> scale;  // one per row
-
-  /// Quantizes a float table row-by-row (scale = row max / 32767).
-  static QuantPlanes quantize(const SplitPlanes& t);
-
-  /// Table footprint in bytes (payload vectors only).
-  std::size_t bytes() const {
-    return (re.size() + im.size()) * sizeof(std::int16_t) +
-           scale.size() * sizeof(float);
-  }
-};
-
-/// Quantized packed complex vectors (the projector's eigenvector /
-/// subspace-basis operand): vector s, component k at [s * m + k], one
-/// float scale per vector. Components are quantized to magnitude
-/// <= 1023 (10 bits + sign) so that an m-term complex dot against a
-/// 15-bit table row accumulates exactly in int32 for m <= 32.
-struct QuantVectors {
-  std::size_t nvec = 0;
-  std::size_t m = 0;
-  std::vector<std::int16_t> re, im;
-  std::vector<float> scale;  // one per vector
-
-  /// Quantizes `nvec` packed vectors laid out like the float kernels'
-  /// ev_re/ev_im operands (component k of vector s at [s * m + k]).
-  static QuantVectors quantize(const double* ev_re, const double* ev_im,
-                               std::size_t nvec, std::size_t m);
-};
-
 /// Per-spectrum coarse table for the quantized position sweep: bin b
 /// holds ceil(64 * log2(max(p[b], p[b+1 mod bins], floor))) — a
 /// round-up fixed-point (Q.6) log2 of the *pair max* of the two bins a
@@ -185,27 +143,6 @@ void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
 /// single-row case.
 void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
                const double* taps, std::size_t ntaps, double* out);
-
-/// Quantized projector sweep: the int16 tier of projector_power.
-///   out[i] = sum_s (scale_i * scale_s)^2 * (ar_is^2 + ai_is^2)
-/// where (ar, ai) is the integer complex dot of quantized table row i
-/// against quantized vector s. The dot accumulates through widening
-/// 16x16 -> 32-bit multiply-adds (exact in int32 for t.m <= 32), and
-/// the int32 -> double finalize uses the same non-fused operation
-/// chain at every dispatch level, so results are *bitwise identical*
-/// across scalar/SSE2/AVX2 — stronger than the float kernels' 1e-9
-/// cross-level contract.
-void projector_power_quant(const QuantPlanes& t, const QuantVectors& ev,
-                           double* out);
-
-/// Quantized Bartlett form: int16 tier of bartlett_power. The
-/// Hermitian matrix is quantized internally to int16 with one global
-/// scale; per (j, k) pair the table dot products are exact widening
-/// int16 multiply-adds (single pmaddwd-shaped pair sums, no integer
-/// accumulation across pairs) and the per-row reduction runs the same
-/// non-fused double chain at every level — bitwise identical across
-/// scalar/SSE2/AVX2.
-void bartlett_power_quant(const QuantPlanes& t, const cplx* r, double* out);
 
 /// Coarse heatmap scoring pass: score[c] += table[bin0[c]] over int32
 /// accumulators — the quantized, log-domain form of

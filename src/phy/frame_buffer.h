@@ -35,8 +35,7 @@ struct FrameCapture {
   std::uint32_t source_ap = 0;
   /// Per-AP monotonically increasing capture sequence number, stamped
   /// by the front end. Wire v1 carries it so the ingest layer can
-  /// detect duplicates, replays and gaps; meaningless for legacy v0
-  /// records (always 0).
+  /// detect duplicates, replays and gaps.
   std::uint64_t wire_seq = 0;
 };
 

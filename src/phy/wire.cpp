@@ -7,6 +7,8 @@
 namespace arraytrack::phy {
 namespace {
 
+// v0 records are never decoded; their magic is kept so ingest can
+// count them as version-rejected rather than malformed.
 constexpr std::uint32_t kMagicV0 = 0x41545231;       // bytes "1RTA"
 constexpr std::uint32_t kMagicV1 = 0x41545232;       // bytes "2RTA"
 constexpr std::uint32_t kMagicHandoff = 0x41545248;  // bytes "HRTA"
@@ -45,20 +47,13 @@ double get_f64(const std::uint8_t* p) {
   return v;
 }
 
-// v0 header layout (little endian):
-//   u32 magic | u32 elements | u32 snapshots | u32 bits_per_rail
-//   f64 timestamp | f64 snr_db | f64 scale | i32 client_id
-//   u32 element_id[elements]
-// followed by elements*snapshots { int I, int Q } packed rail-by-rail
-// into ceil(bits/8) bytes each, two's complement.
-constexpr std::size_t kFixedHeaderV0 = 4 * 4 + 3 * 8 + 4;
-
 // v1 header layout (little endian):
 //   u32 magic | u32 version | u32 elements | u32 snapshots
 //   u32 bits_per_rail | u32 ap_id | u64 seq
 //   f64 timestamp | f64 snr_db | f64 scale | i32 client_id
 //   u32 element_id[elements]
-// with the same payload packing as v0.
+// followed by elements*snapshots { int I, int Q } packed rail-by-rail
+// into ceil(bits/8) bytes each, two's complement.
 constexpr std::size_t kFixedHeaderV1 = 6 * 4 + 8 + 3 * 8 + 4;
 
 std::size_t rail_bytes(int bits) { return std::size_t((bits + 7) / 8); }
@@ -111,18 +106,14 @@ int WireFormat::header_version(const std::uint8_t* bytes, std::size_t size) {
 
 std::optional<int> WireFormat::peek_client(const std::uint8_t* bytes,
                                            std::size_t size) {
-  const std::uint32_t magic = size >= 4 ? get_u32(bytes) : 0;
-  if (magic == kMagicV0 && size >= kFixedHeaderV0)
-    return int(std::int32_t(get_u32(bytes + 40)));
-  if (magic == kMagicV1 && size >= kFixedHeaderV1)
+  if (size >= kFixedHeaderV1 && get_u32(bytes) == kMagicV1)
     return int(std::int32_t(get_u32(bytes + 56)));
   return std::nullopt;
 }
 
 std::size_t WireFormat::encoded_size(std::size_t elements,
                                      std::size_t snapshots) const {
-  const std::size_t header = version == 0 ? kFixedHeaderV0 : kFixedHeaderV1;
-  return header + 4 * elements +
+  return kFixedHeaderV1 + 4 * elements +
          elements * snapshots * 2 * rail_bytes(bits_per_rail);
 }
 
@@ -149,19 +140,13 @@ std::vector<std::uint8_t> WireFormat::encode(const FrameCapture& frame) const {
 
   std::vector<std::uint8_t> out;
   out.reserve(encoded_size(elements, snapshots));
-  if (version == 0) {
-    put_u32(out, kMagicV0);
-  } else {
-    put_u32(out, kMagicV1);
-    put_u32(out, kVersion);
-  }
+  put_u32(out, kMagicV1);
+  put_u32(out, kVersion);
   put_u32(out, std::uint32_t(elements));
   put_u32(out, std::uint32_t(snapshots));
   put_u32(out, std::uint32_t(bits_per_rail));
-  if (version != 0) {
-    put_u32(out, frame.source_ap);
-    put_u64(out, frame.wire_seq);
-  }
+  put_u32(out, frame.source_ap);
+  put_u64(out, frame.wire_seq);
   put_f64(out, frame.timestamp_s);
   put_f64(out, frame.snr_db);
   put_f64(out, scale);
@@ -186,54 +171,30 @@ std::vector<std::uint8_t> WireFormat::encode(const FrameCapture& frame) const {
 
 std::optional<FrameCapture> WireFormat::decode(
     const std::vector<std::uint8_t>& bytes) const {
-  if (bytes.size() < 4) return std::nullopt;
   const std::uint8_t* p = bytes.data();
-  const std::uint32_t magic = get_u32(p);
-
-  FrameCapture frame;
-  std::size_t header;
-  std::size_t elements, snapshots;
-  int bits;
-  double scale;
-
-  if (magic == kMagicV0) {
-    if (!accept_legacy_v0) return std::nullopt;
-    header = kFixedHeaderV0;
-    if (bytes.size() < header) return std::nullopt;
-    elements = get_u32(p + 4);
-    snapshots = get_u32(p + 8);
-    bits = int(get_u32(p + 12));
-    if (!shape_ok(elements, snapshots, bits)) return std::nullopt;
-    frame.timestamp_s = get_f64(p + 16);
-    frame.snr_db = get_f64(p + 24);
-    scale = get_f64(p + 32);
-    frame.client_id = int(std::int32_t(get_u32(p + 40)));
-  } else if (magic == kMagicV1) {
-    header = kFixedHeaderV1;
-    if (bytes.size() < header) return std::nullopt;
-    if (get_u32(p + 4) != kVersion) return std::nullopt;
-    elements = get_u32(p + 8);
-    snapshots = get_u32(p + 12);
-    bits = int(get_u32(p + 16));
-    if (!shape_ok(elements, snapshots, bits)) return std::nullopt;
-    frame.source_ap = get_u32(p + 20);
-    frame.wire_seq = get_u64(p + 24);
-    frame.timestamp_s = get_f64(p + 32);
-    frame.snr_db = get_f64(p + 40);
-    scale = get_f64(p + 48);
-    frame.client_id = int(std::int32_t(get_u32(p + 56)));
-  } else {
+  if (bytes.size() < kFixedHeaderV1 || get_u32(p) != kMagicV1 ||
+      get_u32(p + 4) != kVersion)
     return std::nullopt;
-  }
+  const std::size_t elements = get_u32(p + 8);
+  const std::size_t snapshots = get_u32(p + 12);
+  const int bits = int(get_u32(p + 16));
+  if (!shape_ok(elements, snapshots, bits)) return std::nullopt;
+  FrameCapture frame;
+  frame.source_ap = get_u32(p + 20);
+  frame.wire_seq = get_u64(p + 24);
+  frame.timestamp_s = get_f64(p + 32);
+  frame.snr_db = get_f64(p + 40);
+  const double scale = get_f64(p + 48);
+  frame.client_id = int(std::int32_t(get_u32(p + 56)));
   if (!scalars_ok(frame.timestamp_s, frame.snr_db, scale, bits))
     return std::nullopt;
 
   const std::size_t nb = rail_bytes(bits);
   const std::size_t need =
-      header + 4 * elements + elements * snapshots * 2 * nb;
+      kFixedHeaderV1 + 4 * elements + elements * snapshots * 2 * nb;
   if (bytes.size() != need) return std::nullopt;
 
-  const std::uint8_t* ids = p + header;
+  const std::uint8_t* ids = p + kFixedHeaderV1;
   frame.element_ids.resize(elements);
   for (std::size_t m = 0; m < elements; ++m)
     frame.element_ids[m] = get_u32(ids + 4 * m);

@@ -7,15 +7,12 @@
 // Quantization uses a per-frame shared scale (max-abs normalization),
 // mirroring the FPGA's fixed-point capture path.
 //
-// Two header generations exist:
-//  * v0 ("1RTA" magic) — the original unversioned record. Accepted on
-//    decode only behind the explicit `accept_legacy_v0` compat flag,
-//    because it carries no sequence number: a concurrent ingest path
-//    cannot tell a legacy duplicate from a fresh frame.
-//  * v1 ("2RTA" magic + explicit version field) — adds the capturing
-//    AP id and a per-AP monotonically increasing sequence number, so
-//    the server's decoder threads can reject duplicates, detect
-//    replays and count gaps at ingest (see service::LocationService).
+// The header ("2RTA" magic + explicit version field, v1) carries the
+// capturing AP id and a per-AP monotonically increasing sequence
+// number, so the server's decoder threads can reject duplicates,
+// detect replays and count gaps at ingest (see
+// service::LocationService). The original unversioned v0 record
+// ("1RTA" magic) had no sequence number and is always rejected.
 #pragma once
 
 #include <cstdint>
@@ -30,17 +27,7 @@ struct WireFormat {
   /// Bits per rail (I or Q); the paper's 32-bit samples are 16+16.
   int bits_per_rail = 16;
 
-  /// Header generation written by encode(): 1 (current) or 0 (legacy,
-  /// for talking to pre-versioning servers).
-  int version = 1;
-
-  /// Accept legacy v0 records on decode. Off by default: v0 has no
-  /// sequence numbers, so replayed or duplicated records are
-  /// indistinguishable from fresh ones.
-  bool accept_legacy_v0 = false;
-
-  /// Serialized size in bytes for a capture of the given shape (header
-  /// size depends on `version`).
+  /// Serialized size in bytes for a capture of the given shape.
   std::size_t encoded_size(std::size_t elements, std::size_t snapshots) const;
 
   /// Serialization time over a link, seconds (the Tt term).
@@ -48,16 +35,14 @@ struct WireFormat {
                          double link_bps) const;
 
   /// Encodes a frame capture. The element ids, timestamp, SNR and
-  /// client tag ride along in the header; v1 additionally carries the
-  /// frame's source_ap and wire_seq.
+  /// client tag ride along in the header with the frame's source_ap
+  /// and wire_seq.
   std::vector<std::uint8_t> encode(const FrameCapture& frame) const;
 
   /// Decodes a record; returns nullopt on malformed input (short
-  /// buffer, bad magic, unsupported version, impossible shape) and on
-  /// v0 input unless `accept_legacy_v0` is set. Samples are
-  /// reconstructed up to quantization error (see wire tests for the
-  /// error bound). v1 fills the frame's source_ap / wire_seq; v0
-  /// leaves them 0.
+  /// buffer, bad magic, unsupported version — v0 included — or
+  /// impossible shape). Samples are reconstructed up to quantization
+  /// error (see wire tests for the error bound).
   std::optional<FrameCapture> decode(const std::vector<std::uint8_t>& bytes) const;
 
   /// Header generation of a raw record: 0 for a v0 magic, the header's
@@ -70,7 +55,7 @@ struct WireFormat {
   /// Client id tagged in a raw record's header, without decoding the
   /// samples — the cluster front tier routes records by client shard
   /// before any node spends decode work on them. nullopt when the
-  /// buffer is too short for the header or the magic is unknown.
+  /// buffer is too short for the header or the magic is not v1's.
   static std::optional<int> peek_client(const std::uint8_t* bytes,
                                         std::size_t size);
 };

@@ -17,9 +17,8 @@
 // a thin wrapper over it: RealtimeSimulator::run configures a
 // single-worker, single-shard, batch-of-one service whose modeled
 // timeline advances by the measured pipeline time — the same event-loop
-// semantics this module used to implement directly. The header stays in
-// namespace arraytrack::core (and is re-exported from core/realtime.h)
-// so existing callers do not change.
+// semantics this module used to implement directly. The types live in
+// namespace arraytrack::core.
 #pragma once
 
 #include <cstddef>

@@ -4,8 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "core/thread_pool.h"
@@ -50,26 +48,7 @@ LocationService::LocationService(core::System* system, ServiceOptions opt)
   opt_.shards = std::max<std::size_t>(1, opt_.shards);
   opt_.shard_queue_capacity = std::max<std::size_t>(1, opt_.shard_queue_capacity);
   opt_.batch_max = std::max<std::size_t>(1, opt_.batch_max);
-  if (const char* env = std::getenv("ARRAYTRACK_BATCH")) {
-    // Operational override for capacity experiments: a positive integer
-    // forces the batch width; anything else is ignored.
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0)
-      opt_.batch_max = std::min<std::size_t>(std::size_t(v), 4096);
-  }
   stats_.batch_max.store(opt_.batch_max, std::memory_order_relaxed);
-  // Mirror the Localizer ctor's ARRAYTRACK_QUANT parsing so the env
-  // var wins over ServiceOptions at this layer too (the server's
-  // localizer was built before this option could reach it).
-  if (const char* env = std::getenv("ARRAYTRACK_QUANT")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "false") == 0)
-      opt_.quantized_sweep = false;
-    else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-             std::strcmp(env, "true") == 0)
-      opt_.quantized_sweep = true;
-  }
   system_->server().set_quantized_sweep(opt_.quantized_sweep);
   if (opt_.elastic.enabled) {
     auto& e = opt_.elastic;
@@ -218,8 +197,6 @@ std::string LocationService::stats_json() const {
   out += std::to_string(server.localizer().quant_refined());
   out += ", \"steering_table_bytes\": ";
   out += std::to_string(server.steering_table_bytes());
-  out += ", \"quant_table_bytes\": ";
-  out += std::to_string(server.quant_table_bytes());
   out += "}";
   out += "}";
   return out;
@@ -480,52 +457,44 @@ void LocationService::decode_partition(
   for (const auto& rec : records) {
     if (rec.ap_index % decoders != d) continue;
     stats_.wire_records_in.fetch_add(1, std::memory_order_relaxed);
-    const int version =
-        phy::WireFormat::header_version(rec.bytes.data(), rec.bytes.size());
     auto frame = opt_.wire.decode(rec.bytes);
     if (!frame) {
-      // A well-formed v0 record refused for lack of the compat flag is
-      // a policy rejection, not corruption — account it separately.
-      auto& counter = (version == 0 && !opt_.wire.accept_legacy_v0)
-                          ? stats_.wire_version_rejected
-                          : stats_.decode_errors;
-      counter.fetch_add(1, std::memory_order_relaxed);
+      // A well-formed unversioned v0 record is a policy rejection (it
+      // carries no sequence number), not corruption — account it
+      // separately.
+      const bool v0 = phy::WireFormat::header_version(
+                          rec.bytes.data(), rec.bytes.size()) == 0;
+      (v0 ? stats_.wire_version_rejected : stats_.decode_errors)
+          .fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     // Malformed or mis-addressed records are counted, never trusted:
-    // an unknown AP, an untagged client, or a v1 header claiming a
+    // an unknown AP, an untagged client, or a header claiming a
     // different source AP than the link it arrived on.
     if (rec.ap_index >= num_aps || frame->client_id < 0 ||
-        (version >= 1 && frame->source_ap != rec.ap_index)) {
+        frame->source_ap != rec.ap_index) {
       stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 
     ApIngestState& st = ap_ingest_[rec.ap_index];
-    IngestEvent ev;
-    if (version == 0) {
-      stats_.wire_legacy_in.fetch_add(1, std::memory_order_relaxed);
-      // v0 carries no sequence number; synthesize per-AP arrival order
-      // so the drain sort stays canonical.
-      ev.seq = st.legacy_count++;
-    } else {
-      const std::uint64_t seq = frame->wire_seq;
-      if (st.seen) {
-        if (seq == st.last_seq) {
-          stats_.wire_duplicates.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (seq < st.last_seq) {
-          stats_.wire_replays.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (seq > st.last_seq + 1)
-          stats_.wire_gaps.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t seq = frame->wire_seq;
+    if (st.seen) {
+      if (seq == st.last_seq) {
+        stats_.wire_duplicates.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
-      st.seen = true;
-      st.last_seq = seq;
-      ev.seq = seq;
+      if (seq < st.last_seq) {
+        stats_.wire_replays.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (seq > st.last_seq + 1)
+        stats_.wire_gaps.fetch_add(1, std::memory_order_relaxed);
     }
+    st.seen = true;
+    st.last_seq = seq;
+    IngestEvent ev;
+    ev.seq = seq;
     ev.client_id = frame->client_id;
     ev.ap_index = std::uint32_t(rec.ap_index);
     ev.time_s = rec.time_s;

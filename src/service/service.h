@@ -137,8 +137,7 @@ struct ServiceOptions {
   /// Ingest transport model (Td + Tt + Tl), folded into arrival times
   /// (virtual mode) and end-to-end latency accounting (both modes).
   core::LatencyModel transport;
-  /// Wire decoder for the wire-ingest paths (its accept_legacy_v0 flag
-  /// gates unversioned v0 records).
+  /// Wire decoder for the wire-ingest paths.
   phy::WireFormat wire;
   /// Frames kept per (session, AP) on the wire-ingest path.
   std::size_t wire_history = 4;
@@ -160,17 +159,15 @@ struct ServiceOptions {
   /// falls back to the single-job path for a batch of one. Does not
   /// affect which jobs run or what they compute — under the virtual
   /// clock the fix set is byte-identical for every value. Clamped to
-  /// >= 1; the ARRAYTRACK_BATCH environment variable, when set to a
-  /// positive integer, overrides it (recorded in stats().batch_max).
+  /// >= 1 (recorded in stats().batch_max).
   std::size_t batch_max = 8;
 
   /// Quantized coarse-to-fine grid sweep in the localizer (see
   /// LocalizerOptions::quantized_sweep): an integer upper-bound pass
   /// prunes the grid before the float kernels refine the survivors.
-  /// Fix sets are byte-identical on or off; the ARRAYTRACK_QUANT env
-  /// var ("on"/"off") overrides this at construction, and the
-  /// `"quant"` block of stats_json() reports pruned/refined counts and
-  /// the steering-table footprints (float vs int16 tiers).
+  /// Fix sets are byte-identical on or off; the `"quant"` block of
+  /// stats_json() reports pruned/refined counts and the steering-table
+  /// footprint.
   bool quantized_sweep = true;
 
   /// Elastic worker-pool autoscaling (see ElasticOptions). When
@@ -414,8 +411,7 @@ class LocationService {
   struct IngestEvent {
     int client_id = -1;
     std::uint32_t ap_index = 0;
-    /// Wire sequence (v1) or per-AP arrival index (legacy v0): the
-    /// canonical intra-(time, ap) drain order either way.
+    /// Wire sequence: the canonical intra-(time, ap) drain order.
     std::uint64_t seq = 0;
     double time_s = 0.0;
     phy::FrameCapture frame;
@@ -426,7 +422,6 @@ class LocationService {
   struct ApIngestState {
     bool seen = false;
     std::uint64_t last_seq = 0;
-    std::uint64_t legacy_count = 0;  // synthetic seq for v0 records
   };
 
   std::size_t shard_of(int client_id) const;

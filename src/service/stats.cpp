@@ -130,7 +130,6 @@ std::string ServiceStats::to_json() const {
   counter("jobs_enqueued", jobs_enqueued);
   counter("jobs_coalesced", jobs_coalesced);
   counter("wire_accepted", wire_accepted);
-  counter("wire_legacy_in", wire_legacy_in);
   counter("wire_version_rejected", wire_version_rejected);
   counter("wire_duplicates", wire_duplicates);
   counter("wire_replays", wire_replays);

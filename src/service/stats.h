@@ -81,8 +81,7 @@ struct ServiceStats {
   // of: wire_accepted, decode_errors, wire_version_rejected,
   // wire_duplicates, wire_replays, ring_dropped) ----
   std::atomic<std::uint64_t> wire_accepted{0};   // admitted from the rings
-  std::atomic<std::uint64_t> wire_legacy_in{0};  // v0 taken via compat flag
-  std::atomic<std::uint64_t> wire_version_rejected{0};  // v0 without the flag
+  std::atomic<std::uint64_t> wire_version_rejected{0};  // unversioned v0
   std::atomic<std::uint64_t> wire_duplicates{0};  // seq == newest seen
   std::atomic<std::uint64_t> wire_replays{0};     // seq < newest seen
   std::atomic<std::uint64_t> wire_gaps{0};   // forward jumps (still accepted)
@@ -105,9 +104,8 @@ struct ServiceStats {
   std::atomic<std::uint64_t> workers_now{0};
 
   // ---- batching ----
-  /// Effective ServiceOptions::batch_max after clamping and the
-  /// ARRAYTRACK_BATCH override, echoed so a scrape shows the width the
-  /// engine actually ran with.
+  /// Effective ServiceOptions::batch_max after clamping, echoed so a
+  /// scrape shows the width the engine actually ran with.
   std::atomic<std::uint64_t> batch_max{1};
 
   // ---- eigendecomposition path (see linalg::SubspaceTracker) ----

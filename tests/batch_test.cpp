@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -388,35 +387,6 @@ TEST(BatchServiceTest, BatchOccupancyRecordedInStats) {
   EXPECT_GE(svc.stats().batch_occupancy.max_seen(), 1.0);
   EXPECT_NE(rep.stats_json.find("\"batch_occupancy\""), std::string::npos);
   EXPECT_NE(rep.stats_json.find("\"batch_max\": 4"), std::string::npos);
-}
-
-TEST(BatchServiceTest, EnvOverrideForcesBatchWidth) {
-  const auto plan = make_plan();
-  ASSERT_EQ(0, setenv("ARRAYTRACK_BATCH", "3", 1));
-  {
-    auto sys = make_system(&plan);
-    service::ServiceOptions opt;
-    opt.batch_max = 16;
-    service::LocationService svc(sys.get(), opt);
-    EXPECT_EQ(svc.options().batch_max, 3u);
-    EXPECT_NE(svc.stats_json().find("\"batch_max\": 3"), std::string::npos);
-  }
-  // Malformed or non-positive values are ignored.
-  ASSERT_EQ(0, setenv("ARRAYTRACK_BATCH", "not-a-number", 1));
-  {
-    auto sys = make_system(&plan);
-    service::ServiceOptions opt;
-    opt.batch_max = 16;
-    service::LocationService svc(sys.get(), opt);
-    EXPECT_EQ(svc.options().batch_max, 16u);
-  }
-  ASSERT_EQ(0, setenv("ARRAYTRACK_BATCH", "0", 1));
-  {
-    auto sys = make_system(&plan);
-    service::LocationService svc(sys.get(), service::ServiceOptions{});
-    EXPECT_EQ(svc.options().batch_max, 8u);  // the default width
-  }
-  ASSERT_EQ(0, unsetenv("ARRAYTRACK_BATCH"));
 }
 
 }  // namespace

@@ -96,9 +96,10 @@ void expect_no_double_publish(const std::vector<delivery::Fix>& fixes) {
   std::map<int, double> last;
   for (const auto& f : fixes) {
     auto it = last.find(f.client_id);
-    if (it != last.end())
+    if (it != last.end()) {
       EXPECT_GT(f.frame_time_s, it->second)
           << "client " << f.client_id << " fix repeated or rewound";
+    }
     last[f.client_id] = f.frame_time_s;
   }
 }

@@ -7,20 +7,28 @@
 // (d) every offered record ends in exactly one terminal counter:
 //   wire_records_in == wire_accepted + decode_errors
 //                      + wire_version_rejected + wire_duplicates
-//                      + wire_replays + ring_dropped.
+//                      + wire_replays + ring_dropped,
+// and (e) hostile-but-decodable records (zero power, saturated rails,
+// one snapshot, a client at an AP, degenerate AP layouts) never yield a
+// non-finite or off-floor fix.
 // The concurrent cases also run under the ThreadSanitizer tier of
 // tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "phy/wire.h"
 #include "service/service.h"
 #include "service/stats.h"
+#include "wire_v0.h"
 
 namespace arraytrack::service {
 namespace {
@@ -223,41 +231,25 @@ TEST(IngestTest, SequenceGapsAreCountedButAccepted) {
   EXPECT_EQ(rep.fixes.size(), 2u);
 }
 
-TEST(IngestTest, LegacyV0OnlyBehindCompatFlag) {
+TEST(IngestTest, LegacyV0IsVersionRejected) {
+  // Unversioned records carry no sequence number, so ingest refuses
+  // them as a policy decision, accounted apart from corruption.
   const auto plan = make_plan();
   auto capture = make_system(&plan);
-  phy::WireFormat v0;
-  v0.version = 0;
-  const auto records = encode_event(*capture, v0, 0.2, 1, {5.0, 3.0});
+  phy::WireFormat wire;
+  auto records = encode_event(*capture, wire, 0.2, 1, {5.0, 3.0});
+  for (auto& r : records) r.bytes = test::v0_from_v1(r.bytes);
   const auto aps = std::uint64_t(capture->num_aps());
 
-  {
-    // Strict deployment: unversioned records are refused as a policy
-    // decision, accounted apart from corruption.
-    auto sys = make_system(&plan);
-    LocationService svc(sys.get(), virtual_options(2));
-    const auto rep = svc.run_wire(records);
-    EXPECT_EQ(svc.stats().wire_version_rejected.load(), aps);
-    EXPECT_EQ(svc.stats().decode_errors.load(), 0u);
-    EXPECT_EQ(svc.stats().wire_accepted.load(), 0u);
-    expect_accounted(svc.stats());
-    EXPECT_TRUE(rep.fixes.empty());
-  }
-  {
-    // Migration deployment: the flag admits them, tagged as legacy,
-    // with synthetic per-AP arrival-order sequence numbers.
-    auto sys = make_system(&plan);
-    auto opt = virtual_options(2);
-    opt.wire.accept_legacy_v0 = true;
-    LocationService svc(sys.get(), opt);
-    const auto rep = svc.run_wire(records);
-    EXPECT_EQ(svc.stats().wire_legacy_in.load(), aps);
-    EXPECT_EQ(svc.stats().wire_accepted.load(), aps);
-    EXPECT_EQ(svc.stats().wire_version_rejected.load(), 0u);
-    expect_accounted(svc.stats());
-    ASSERT_EQ(rep.fixes.size(), 1u);
-    EXPECT_EQ(rep.fixes[0].client_id, 1);
-  }
+  auto sys = make_system(&plan);
+  LocationService svc(sys.get(), virtual_options(2));
+  const auto rep = svc.run_wire(records);
+  EXPECT_EQ(svc.stats().wire_version_rejected.load(), aps);
+  EXPECT_EQ(svc.stats().decode_errors.load(), 0u);
+  EXPECT_EQ(svc.stats().wire_accepted.load(), 0u);
+  expect_accounted(svc.stats());
+  EXPECT_TRUE(rep.fixes.empty());
+  EXPECT_EQ(svc.stats_json().find("wire_legacy_in"), std::string::npos);
 }
 
 TEST(IngestTest, RingOverflowDropsOldestAndIsCounted) {
@@ -335,9 +327,9 @@ TEST(IngestTest, EveryOfferedRecordIsAccountedExactlyOnce) {
   truncated.time_s = 0.55;
   truncated.bytes.resize(truncated.bytes.size() / 2);
   feed.push_back(std::move(truncated));
-  phy::WireFormat v0;
-  v0.version = 0;
-  append(feed, encode_event(*capture, v0, 0.6, 2, {9.0, 7.0}));  // no flag
+  auto v0 = encode_event(*capture, wire, 0.6, 2, {9.0, 7.0});
+  for (auto& r : v0) r.bytes = test::v0_from_v1(r.bytes);
+  append(feed, v0);
   feed.push_back({0.7, 99, feed[0].bytes});  // unknown AP index
 
   auto sys = make_system(&plan);
@@ -376,6 +368,156 @@ TEST(IngestTest, SubmitWireStillGroupsOneCallAsOneArrival) {
   EXPECT_EQ(fixes[0].client_id, 7);
   EXPECT_LT(geom::distance(fixes[0].position, truth), 1.5);
   expect_accounted(svc.stats());
+}
+
+// ---- hostile-but-decodable input ----------------------------------
+
+/// How the generator rewrites one AP's genuine capture before encoding.
+enum class Hostile {
+  kNone,
+  kZeroPower,    // every sample exactly zero
+  kSaturated,    // every rail at the int16 full scale, random signs
+  kOneSnapshot,  // a single column: a rank-one covariance
+  kLegacyV0,     // re-framed as an unversioned "1RTA" record
+};
+
+/// Seeded generator of wire records that decode (or, for kLegacyV0, are
+/// well formed) yet stress the pipeline: each transmit puts its client
+/// at a random floor point or exactly on an AP, and each AP's capture
+/// gets a random Hostile rewrite. Per-AP sequence numbers stay
+/// increasing, so every v1 record is admitted.
+std::vector<Record> hostile_feed(core::System& sys, const geom::Rect& floor,
+                                 std::uint64_t seed, int transmits) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> ux(floor.min.x, floor.max.x);
+  std::uniform_real_distribution<double> uy(floor.min.y, floor.max.y);
+  phy::WireFormat wire;
+  std::vector<Record> out;
+  for (int i = 0; i < transmits; ++i) {
+    const double t = 0.1 + 0.1 * i;
+    const int client = int(rng() % 3);
+    Vec2 pos{ux(rng), uy(rng)};
+    if (rng() % 3 == 0) pos = sys.ap(int(rng() % sys.num_aps())).array().position();
+    sys.transmit(client, pos, t);
+    for (std::size_t a = 0; a < sys.num_aps(); ++a) {
+      phy::FrameCapture f = sys.ap(int(a)).buffer().newest();
+      const auto kind = Hostile(rng() % 5);
+      auto& x = f.samples;
+      switch (kind) {
+        case Hostile::kNone:
+        case Hostile::kLegacyV0:
+          break;
+        case Hostile::kZeroPower:
+          x = linalg::CMatrix(x.rows(), x.cols());
+          break;
+        case Hostile::kSaturated:
+          for (std::size_t m = 0; m < x.rows(); ++m)
+            for (std::size_t k = 0; k < x.cols(); ++k)
+              x(m, k) = cplx{rng() % 2 ? 1.0 : -1.0, rng() % 2 ? 1.0 : -1.0};
+          break;
+        case Hostile::kOneSnapshot:
+          x = x.block(0, 0, x.rows(), 1);
+          break;
+      }
+      auto bytes = wire.encode(f);
+      if (kind == Hostile::kLegacyV0) bytes = test::v0_from_v1(bytes);
+      out.push_back({t, a, std::move(bytes)});
+    }
+  }
+  return out;
+}
+
+/// Runs a hostile feed through ingest_wire and checks the two hostile-
+/// input contracts: exact accounting, and only finite on-floor fixes.
+void expect_hostile_feed_handled(core::System& capture,
+                                 const std::function<std::unique_ptr<
+                                     core::System>()>& fresh,
+                                 const geom::Rect& floor) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const auto feed = hostile_feed(capture, floor, seed, 12);
+    auto sys = fresh();
+    LocationService svc(sys.get(), virtual_options(2));
+    const auto rep = svc.run_wire(feed);
+    const auto& st = svc.stats();
+    EXPECT_EQ(st.wire_records_in.load(), feed.size());
+    EXPECT_GT(st.wire_accepted.load(), 0u);
+    EXPECT_GT(st.wire_version_rejected.load(), 0u);
+    EXPECT_EQ(st.decode_errors.load(), 0u);
+    expect_accounted(st);
+    for (const auto& f : rep.fixes) {
+      ASSERT_TRUE(std::isfinite(f.position.x) && std::isfinite(f.position.y))
+          << "client " << f.client_id << " seq " << f.seq;
+      ASSERT_TRUE(std::isfinite(f.smoothed.x) && std::isfinite(f.smoothed.y));
+      ASSERT_TRUE(std::isfinite(f.likelihood));
+      EXPECT_GE(f.position.x, floor.min.x);
+      EXPECT_LE(f.position.x, floor.max.x);
+      EXPECT_GE(f.position.y, floor.min.y);
+      EXPECT_LE(f.position.y, floor.max.y);
+    }
+  }
+}
+
+/// System over make_plan() with APs at the given poses.
+std::unique_ptr<core::System> system_with_aps(
+    const geom::Floorplan* plan,
+    const std::vector<std::pair<Vec2, double>>& poses) {
+  core::SystemConfig cfg;
+  cfg.server.localizer.grid_step_m = 0.25;
+  auto sys = std::make_unique<core::System>(plan, cfg);
+  for (const auto& [pos, orient] : poses) sys->add_ap(pos, orient);
+  return sys;
+}
+
+TEST(IngestHostileTest, DegenerateCapturesYieldOnlyFiniteOnFloorFixes) {
+  const auto plan = make_plan();
+  auto capture = make_system(&plan);
+  expect_hostile_feed_handled(
+      *capture, [&] { return make_system(&plan); }, plan.bounds());
+}
+
+TEST(IngestHostileTest, CollinearApsYieldOnlyFiniteOnFloorFixes) {
+  // Three APs on one line: every bearing pair from them intersects on
+  // that line or nowhere, and clients on the line sit at a degenerate
+  // triangulation.
+  const auto plan = make_plan();
+  const std::vector<std::pair<Vec2, double>> poses = {
+      {{2, 5}, 0.0}, {{9, 5}, deg2rad(90.0)}, {{16, 5}, deg2rad(180.0)}};
+  auto capture = system_with_aps(&plan, poses);
+  expect_hostile_feed_handled(
+      *capture, [&] { return system_with_aps(&plan, poses); }, plan.bounds());
+}
+
+TEST(IngestHostileTest, OneApYieldsOnlyFiniteOnFloorFixes) {
+  // A single bearing cannot fix a position; the engine must still
+  // account every record and emit nothing off the floor.
+  const auto plan = make_plan();
+  const std::vector<std::pair<Vec2, double>> poses = {{{9, 9.5}, deg2rad(-90.0)}};
+  auto capture = system_with_aps(&plan, poses);
+  expect_hostile_feed_handled(
+      *capture, [&] { return system_with_aps(&plan, poses); }, plan.bounds());
+}
+
+TEST(IngestHostileTest, ClusterFrontTierCountsV0AsUnroutable) {
+  // The front tier routes on the client id it peeks from a v1 header;
+  // an unversioned record has none it will trust.
+  const auto plan = make_plan();
+  auto capture = make_system(&plan);
+  phy::WireFormat wire;
+  auto feed = encode_event(*capture, wire, 0.1, 0, {12.0, 6.0});
+  const std::size_t v1_records = feed.size();
+  auto v0 = encode_event(*capture, wire, 0.3, 1, {5.0, 3.0});
+  for (auto& r : v0) r.bytes = test::v0_from_v1(r.bytes);
+  append(feed, v0);
+
+  cluster::ClusterOptions opt;
+  opt.nodes = 2;
+  opt.service = virtual_options(1);
+  cluster::Cluster cl([&] { return make_system(&plan); }, opt);
+  cl.ingest(feed);
+  cl.flush();
+  EXPECT_EQ(cl.stats().records_in, feed.size());
+  EXPECT_EQ(cl.stats().unroutable, feed.size() - v1_records);
 }
 
 }  // namespace

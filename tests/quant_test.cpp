@@ -1,16 +1,11 @@
-// The quantized int16 kernel tier and the coarse-to-fine sweep built
-// on it. The contracts under test are stronger than the float
-// kernels': quant kernel outputs must be *bitwise identical* across
-// every dispatch level (exact integer cores + pinned non-fused double
-// finalize), the coarse log table must be a certified upper bound on
-// the float heatmap factors it prunes against, and the end-to-end
-// quantized sweep must produce fix sets byte-identical to the
-// all-float path — with the ARRAYTRACK_QUANT kill switch restoring
-// today's binaries exactly.
+// The quantized coarse-to-fine position sweep. The contracts under
+// test: the integer scoring kernels are bitwise identical across every
+// dispatch level, the coarse log table is a certified upper bound on
+// the float heatmap factors it prunes against, and the quantized sweep
+// produces fix sets byte-identical to the all-float path.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -26,145 +21,12 @@ namespace {
 using core::simd::ForcedLevel;
 using core::simd::Level;
 using linalg::CoarseLogTable;
-using linalg::QuantPlanes;
-using linalg::QuantVectors;
-using linalg::SplitPlanes;
 
 std::vector<Level> runnable_levels() {
   std::vector<Level> out{Level::kScalar};
   for (Level l : {Level::kSse2, Level::kAvx2})
     if (core::simd::clamp_to_hardware(l) == l) out.push_back(l);
   return out;
-}
-
-void fill_planes(SplitPlanes& p, std::mt19937_64& rng, double amp = 1.0) {
-  std::uniform_real_distribution<double> u(-amp, amp);
-  for (std::size_t k = 0; k < p.m; ++k)
-    for (std::size_t i = 0; i < p.rows; ++i)
-      p.set(k, i, cplx{u(rng), u(rng)});
-}
-
-// Random Hermitian PSD matrix r = a^H a.
-std::vector<cplx> random_psd(std::size_t m, std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  std::vector<cplx> a(m * m), r(m * m, cplx{0.0, 0.0});
-  for (auto& v : a) v = cplx{u(rng), u(rng)};
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < m; ++j) {
-      cplx s{0.0, 0.0};
-      for (std::size_t k = 0; k < m; ++k) s += std::conj(a[k * m + i]) * a[k * m + j];
-      r[i * m + j] = s;
-    }
-  return r;
-}
-
-// --- quantizer invariants ---------------------------------------------
-
-TEST(QuantKernelsTest, QuantizedTableStaysInRangeAndReconstructs) {
-  std::mt19937_64 rng(7);
-  SplitPlanes t(361, 7);
-  fill_planes(t, rng, 3.0);
-  const QuantPlanes q = QuantPlanes::quantize(t);
-  ASSERT_EQ(q.rows, t.rows);
-  ASSERT_EQ(q.m, t.m);
-  for (std::size_t i = 0; i < q.rows; ++i) {
-    for (std::size_t k = 0; k < q.m; ++k) {
-      const int qr = q.re[k * q.pitch + i];
-      const int qi = q.im[k * q.pitch + i];
-      EXPECT_GE(qr, -32767);
-      EXPECT_LE(qr, 32767);
-      EXPECT_GE(qi, -32767);
-      EXPECT_LE(qi, 32767);
-      // Reconstruction error within one quantization step.
-      const double step = double(q.scale[i]);
-      EXPECT_NEAR(double(qr) * step, t.re[k * t.pitch + i], step * 0.75);
-      EXPECT_NEAR(double(qi) * step, t.im[k * t.pitch + i], step * 0.75);
-    }
-  }
-  // Footprint: >= 3x smaller than the float table (tentpole criterion).
-  const std::size_t float_bytes =
-      (t.re.size() + t.im.size()) * sizeof(double);
-  EXPECT_GE(double(float_bytes) / double(q.bytes()), 3.0);
-}
-
-TEST(QuantKernelsTest, QuantizedVectorsStayInIntExactRange) {
-  std::mt19937_64 rng(13);
-  const std::size_t m = 16, nvec = 5;
-  std::uniform_real_distribution<double> u(-2.0, 2.0);
-  std::vector<double> re(nvec * m), im(nvec * m);
-  for (auto& v : re) v = u(rng);
-  for (auto& v : im) v = u(rng);
-  const QuantVectors q = QuantVectors::quantize(re.data(), im.data(), nvec, m);
-  for (std::size_t e = 0; e < nvec * m; ++e) {
-    EXPECT_LE(std::abs(int(q.re[e])), 1023);
-    EXPECT_LE(std::abs(int(q.im[e])), 1023);
-  }
-}
-
-// --- cross-level bitwise identity -------------------------------------
-
-TEST(QuantKernelsTest, ProjectorBitwiseIdenticalAcrossLevels) {
-  std::mt19937_64 rng(23);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  for (std::size_t m : {std::size_t(3), std::size_t(7), std::size_t(16)}) {
-    for (std::size_t rows :
-         {std::size_t(5), std::size_t(357), std::size_t(361)}) {
-      SplitPlanes t(rows, m);
-      fill_planes(t, rng);
-      const QuantPlanes q = QuantPlanes::quantize(t);
-      const std::size_t nvec = 1 + (m + rows) % 3;
-      std::vector<double> re(nvec * m), im(nvec * m);
-      for (auto& v : re) v = u(rng);
-      for (auto& v : im) v = u(rng);
-      const QuantVectors ev =
-          QuantVectors::quantize(re.data(), im.data(), nvec, m);
-
-      std::vector<double> want(rows);
-      {
-        ForcedLevel g(Level::kScalar);
-        linalg::kernels::projector_power_quant(q, ev, want.data());
-      }
-      for (Level lvl : runnable_levels()) {
-        ForcedLevel g(lvl);
-        std::vector<double> got(rows, -1.0);
-        linalg::kernels::projector_power_quant(q, ev, got.data());
-        for (std::size_t i = 0; i < rows; ++i)
-          ASSERT_EQ(got[i], want[i])
-              << "projector_power_quant not bitwise at level "
-              << core::simd::name(lvl) << " m=" << m << " rows=" << rows
-              << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(QuantKernelsTest, BartlettBitwiseIdenticalAcrossLevels) {
-  std::mt19937_64 rng(29);
-  for (std::size_t m : {std::size_t(3), std::size_t(7), std::size_t(9)}) {
-    for (std::size_t rows :
-         {std::size_t(5), std::size_t(357), std::size_t(361)}) {
-      SplitPlanes t(rows, m);
-      fill_planes(t, rng);
-      const QuantPlanes q = QuantPlanes::quantize(t);
-      const std::vector<cplx> r = random_psd(m, rng);
-
-      std::vector<double> want(rows);
-      {
-        ForcedLevel g(Level::kScalar);
-        linalg::kernels::bartlett_power_quant(q, r.data(), want.data());
-      }
-      for (Level lvl : runnable_levels()) {
-        ForcedLevel g(lvl);
-        std::vector<double> got(rows, -1.0);
-        linalg::kernels::bartlett_power_quant(q, r.data(), got.data());
-        for (std::size_t i = 0; i < rows; ++i)
-          ASSERT_EQ(got[i], want[i])
-              << "bartlett_power_quant not bitwise at level "
-              << core::simd::name(lvl) << " m=" << m << " rows=" << rows
-              << " i=" << i;
-      }
-    }
-  }
 }
 
 TEST(QuantKernelsTest, ScoreAccumBitwiseIdenticalAcrossLevels) {
@@ -189,51 +51,6 @@ TEST(QuantKernelsTest, ScoreAccumBitwiseIdenticalAcrossLevels) {
     linalg::kernels::score_accum(table.data(), bin0.data(), count, got.data());
     for (std::size_t c = 0; c < count; ++c) ASSERT_EQ(got[c], want[c]);
   }
-}
-
-// --- quant vs float tolerance -----------------------------------------
-
-// The int16 tier is a *coarse* pass; it only has to be close enough
-// that its certified upper bound stays tight. Pin the relative error
-// against the float kernels so regressions in the quantizers show up.
-TEST(QuantKernelsTest, ProjectorTracksFloatKernelWithinTolerance) {
-  std::mt19937_64 rng(37);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  const std::size_t m = 7, rows = 361, nvec = 2;
-  SplitPlanes t(rows, m);
-  fill_planes(t, rng);
-  std::vector<double> re(nvec * m), im(nvec * m);
-  for (auto& v : re) v = u(rng);
-  for (auto& v : im) v = u(rng);
-
-  std::vector<double> want(rows), got(rows);
-  linalg::kernels::projector_power(t, re.data(), im.data(), nvec, want.data());
-  const QuantPlanes q = QuantPlanes::quantize(t);
-  const QuantVectors ev = QuantVectors::quantize(re.data(), im.data(), nvec, m);
-  linalg::kernels::projector_power_quant(q, ev, got.data());
-
-  double vmax = 0.0;
-  for (double v : want) vmax = std::max(vmax, v);
-  for (std::size_t i = 0; i < rows; ++i)
-    EXPECT_NEAR(got[i], want[i], vmax * 2e-3) << "row " << i;
-}
-
-TEST(QuantKernelsTest, BartlettTracksFloatKernelWithinTolerance) {
-  std::mt19937_64 rng(41);
-  const std::size_t m = 7, rows = 361;
-  SplitPlanes t(rows, m);
-  fill_planes(t, rng);
-  const std::vector<cplx> r = random_psd(m, rng);
-
-  std::vector<double> want(rows), got(rows);
-  linalg::kernels::bartlett_power(t, r.data(), want.data());
-  const QuantPlanes q = QuantPlanes::quantize(t);
-  linalg::kernels::bartlett_power_quant(q, r.data(), got.data());
-
-  double vmax = 0.0;
-  for (double v : want) vmax = std::max(vmax, std::abs(v));
-  for (std::size_t i = 0; i < rows; ++i)
-    EXPECT_NEAR(got[i], want[i], vmax * 2e-3) << "row " << i;
 }
 
 // --- the guard band is load-bearing -----------------------------------
@@ -271,34 +88,6 @@ TEST(QuantGuardBandTest, PairMaxEntryDominatesEveryLerp) {
       }
     }
   }
-}
-
-// The error-bound test the issue asks for: across random covariances,
-// the max |quant - float| spectrum error expressed in log2 bits stays
-// under the pair-max table's quantization ulp — i.e. quantization
-// noise alone can never push a cell's coarse score past the certified
-// band the pruner allows for.
-TEST(QuantGuardBandTest, SpectrumErrorStaysUnderGuardBand) {
-  std::mt19937_64 rng(47);
-  const std::size_t m = 7, rows = 361;
-  SplitPlanes t(rows, m);
-  fill_planes(t, rng);
-  const QuantPlanes q = QuantPlanes::quantize(t);
-
-  double worst_bits = 0.0;
-  for (int trial = 0; trial < 16; ++trial) {
-    const std::vector<cplx> r = random_psd(m, rng);
-    std::vector<double> want(rows), got(rows);
-    linalg::kernels::bartlett_power(t, r.data(), want.data());
-    linalg::kernels::bartlett_power_quant(q, r.data(), got.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      if (want[i] <= 0.0 || got[i] <= 0.0) continue;
-      worst_bits = std::max(worst_bits, std::abs(std::log2(got[i] / want[i])));
-    }
-  }
-  // One Q.6 ulp = 1/64 bit; quantization error must stay well inside.
-  const double ulp = 1.0 / double(1 << CoarseLogTable::kFracBits);
-  EXPECT_LT(worst_bits, ulp) << "int16 pass drifts past the coarse table ulp";
 }
 
 // --- coarse-to-fine localizer byte-identity ---------------------------
@@ -355,6 +144,17 @@ TEST(QuantLocalizerTest, LocateByteIdenticalQuantOnOffAtEveryLevel) {
       // And the coarse pass genuinely pruned most of the grid.
       EXPECT_GT(loc_on.quant_pruned(), loc_on.quant_refined());
       EXPECT_EQ(loc_off.quant_pruned(), 0u);
+      // The option sets the switch; the setter flips it at runtime.
+      EXPECT_TRUE(loc_on.quantized_sweep());
+      EXPECT_FALSE(loc_off.quantized_sweep());
+      loc_off.set_quantized_sweep(true);
+      EXPECT_TRUE(loc_off.quantized_sweep());
+      const auto c = loc_off.locate(aps);
+      ASSERT_TRUE(c);
+      EXPECT_EQ(c->position.x, a->position.x);
+      EXPECT_EQ(c->position.y, a->position.y);
+      EXPECT_EQ(c->likelihood, a->likelihood);
+      EXPECT_GT(loc_off.quant_pruned(), 0u);
     }
   }
 }
@@ -417,25 +217,6 @@ TEST(QuantLocalizerTest, NonPositiveFloorFallsBackToDensePath) {
   EXPECT_EQ(loc_on.quant_pruned(), 0u);  // nothing was pruned
 }
 
-TEST(QuantLocalizerTest, EnvOverrideWinsOverOption) {
-  core::LocalizerOptions on;
-  on.quantized_sweep = true;
-  ASSERT_EQ(setenv("ARRAYTRACK_QUANT", "off", 1), 0);
-  core::Localizer forced_off({{0, 0}, {10, 10}}, on);
-  EXPECT_FALSE(forced_off.quantized_sweep());
-  core::LocalizerOptions off;
-  off.quantized_sweep = false;
-  ASSERT_EQ(setenv("ARRAYTRACK_QUANT", "on", 1), 0);
-  core::Localizer forced_on({{0, 0}, {10, 10}}, off);
-  EXPECT_TRUE(forced_on.quantized_sweep());
-  ASSERT_EQ(unsetenv("ARRAYTRACK_QUANT"), 0);
-  core::Localizer plain({{0, 0}, {10, 10}}, off);
-  EXPECT_FALSE(plain.quantized_sweep());
-  // The setter is the runtime kill switch.
-  plain.set_quantized_sweep(true);
-  EXPECT_TRUE(plain.quantized_sweep());
-}
-
 // --- service layer -----------------------------------------------------
 
 geom::Floorplan service_plan() {
@@ -473,7 +254,7 @@ std::vector<core::FrameEvent> service_schedule() {
 // The quantized sweep is invisible in the service's output: fix
 // streams are byte-identical quant-on vs quant-off at every worker
 // count and batch width, while the stats JSON shows the pruner doing
-// real work and a >= 3x smaller quantized table tier.
+// real work.
 TEST(QuantServiceTest, ServiceFixesByteIdenticalAndStatsReportQuant) {
   const auto plan = service_plan();
   const auto schedule = service_schedule();
@@ -504,8 +285,7 @@ TEST(QuantServiceTest, ServiceFixesByteIdenticalAndStatsReportQuant) {
           } else {
             EXPECT_EQ(loc.quant_pruned() + loc.quant_refined(), 0u);
           }
-          EXPECT_GE(sys->server().steering_table_bytes(),
-                    3 * sys->server().quant_table_bytes());
+          EXPECT_GT(sys->server().steering_table_bytes(), 0u);
         }
       }
     }
@@ -528,7 +308,7 @@ TEST(QuantServiceTest, ServiceFixesByteIdenticalAndStatsReportQuant) {
     EXPECT_NE(s->find("\"quant\""), std::string::npos);
     EXPECT_NE(s->find("\"quant_pruned\""), std::string::npos);
     EXPECT_NE(s->find("\"steering_table_bytes\""), std::string::npos);
-    EXPECT_NE(s->find("\"quant_table_bytes\""), std::string::npos);
+    EXPECT_EQ(s->find("\"quant_table_bytes\""), std::string::npos);
   }
   EXPECT_NE(stats_on.find("\"quantized_sweep\": true"), std::string::npos);
   EXPECT_NE(stats_off.find("\"quantized_sweep\": false"), std::string::npos);

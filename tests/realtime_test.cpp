@@ -1,7 +1,7 @@
 // Tests for the event-driven real-time server simulation.
 #include <gtest/gtest.h>
 
-#include "core/realtime.h"
+#include "service/realtime.h"
 
 namespace arraytrack::core {
 namespace {

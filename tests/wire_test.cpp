@@ -1,6 +1,6 @@
-// Tests for the AP-to-server wire format, across both header
-// generations: v1 (versioned, per-AP sequence numbers) and legacy v0
-// (accepted only behind the accept_legacy_v0 compat flag).
+// Tests for the AP-to-server wire format: v1 records (versioned, per-AP
+// sequence numbers) round-trip, and unversioned v0 records are always
+// rejected.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "aoa/covariance.h"
 #include "phy/wire.h"
+#include "wire_v0.h"
 
 namespace arraytrack::phy {
 namespace {
@@ -35,35 +36,26 @@ FrameCapture make_frame(std::size_t elements, std::size_t snapshots,
   return f;
 }
 
-/// Both header generations, with decode permissive enough to read its
-/// own output (v0 needs the compat flag).
-WireFormat wire_for_version(int version) {
-  WireFormat wire;
-  wire.version = version;
-  wire.accept_legacy_v0 = (version == 0);
-  return wire;
-}
-
 TEST(WireTest, EncodedSizeMatchesPaperAccounting) {
   // (10 samples)(32 bits/sample)(8 radios) = 320 bytes of payload; the
-  // header adds a fixed overhead (60 bytes for v1, 44 for legacy v0 —
-  // v1 carries version, AP id and sequence number).
+  // header adds a fixed 60 bytes (magic, version, shape, AP id,
+  // sequence number, timestamp, SNR, scale, client) plus 4 bytes per
+  // element id.
   WireFormat wire;  // 16 bits per rail = 32 bits per sample
   const std::size_t payload = 8 * 10 * 4;
   const std::size_t size = wire.encoded_size(8, 10);
   EXPECT_EQ(size, 60 + 4 * 8 + payload);
-  WireFormat legacy = wire_for_version(0);
-  EXPECT_EQ(legacy.encoded_size(8, 10), 44 + 4 * 8 + payload);
   // Tt at the paper's 1 Mbit/s effective link: payload alone is 2.56 ms.
   EXPECT_NEAR(wire.serialization_s(8, 10, 1e6),
               double(size) * 8.0 / 1e6, 1e-12);
   EXPECT_GT(wire.serialization_s(8, 10, 1e6), 2.56e-3);
 }
 
+// Parameterized by header version; v1 is the only one encode() writes.
 class WireVersionSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WireVersionSweep, RoundTripMetadata) {
-  WireFormat wire = wire_for_version(GetParam());
+  WireFormat wire;
   const auto f = make_frame(16, 10, 1);
   const auto bytes = wire.encode(f);
   ASSERT_EQ(bytes.size(), wire.encoded_size(16, 10));
@@ -77,18 +69,12 @@ TEST_P(WireVersionSweep, RoundTripMetadata) {
   EXPECT_EQ(g->element_ids, f.element_ids);
   ASSERT_EQ(g->samples.rows(), 16u);
   ASSERT_EQ(g->samples.cols(), 10u);
-  if (GetParam() == 0) {
-    // Legacy records carry no provenance.
-    EXPECT_EQ(g->source_ap, 0u);
-    EXPECT_EQ(g->wire_seq, 0u);
-  } else {
-    EXPECT_EQ(g->source_ap, f.source_ap);
-    EXPECT_EQ(g->wire_seq, f.wire_seq);
-  }
+  EXPECT_EQ(g->source_ap, f.source_ap);
+  EXPECT_EQ(g->wire_seq, f.wire_seq);
 }
 
 TEST_P(WireVersionSweep, TruncationAtEveryLengthIsRejected) {
-  WireFormat wire = wire_for_version(GetParam());
+  WireFormat wire;
   const auto bytes = wire.encode(make_frame(4, 6, 11));
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const std::vector<std::uint8_t> cut(bytes.begin(),
@@ -97,16 +83,27 @@ TEST_P(WireVersionSweep, TruncationAtEveryLengthIsRejected) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Versions, WireVersionSweep, ::testing::Values(0, 1));
+INSTANTIATE_TEST_SUITE_P(Versions, WireVersionSweep, ::testing::Values(1));
 
-TEST(WireTest, LegacyV0RequiresCompatFlag) {
-  WireFormat writer = wire_for_version(0);
-  const auto bytes = writer.encode(make_frame(8, 10, 21));
-  WireFormat strict;  // default: v1 decode, no legacy
-  EXPECT_FALSE(strict.decode(bytes).has_value());
+TEST(WireTest, LegacyV0IsAlwaysRejected) {
+  // A well-formed v0 record (no version, AP id or sequence number):
+  // header_version names it so ingest can count it as a policy
+  // rejection, but neither decode nor the routing peek accepts it.
+  WireFormat wire;
+  const auto v1 = wire.encode(make_frame(8, 10, 21));
+  const auto bytes = test::v0_from_v1(v1);
+  ASSERT_EQ(bytes.size() + 16, v1.size());
   EXPECT_EQ(WireFormat::header_version(bytes.data(), bytes.size()), 0);
-  strict.accept_legacy_v0 = true;
-  EXPECT_TRUE(strict.decode(bytes).has_value());
+  EXPECT_FALSE(wire.decode(bytes).has_value());
+  EXPECT_FALSE(WireFormat::peek_client(bytes.data(), bytes.size()));
+  // Any bit depth, and the v0 magic on a v1-sized body, are refused too.
+  wire.bits_per_rail = 8;
+  EXPECT_FALSE(wire.decode(test::v0_from_v1(wire.encode(make_frame(2, 3, 22))))
+                   .has_value());
+  auto relabeled = v1;
+  relabeled[0] = 0x31;  // "1RTA"
+  EXPECT_EQ(WireFormat::header_version(relabeled.data(), relabeled.size()), 0);
+  EXPECT_FALSE(wire.decode(relabeled).has_value());
 }
 
 TEST(WireTest, UnknownFutureVersionIsRejected) {
@@ -198,23 +195,19 @@ void expect_sane(const std::optional<FrameCapture>& g) {
 }
 
 TEST(WireTest, CorruptionAtEveryOffsetNeverCrashes) {
-  // Both generations, with legacy decoding enabled so the v0 parser is
-  // also exercised against corrupted headers.
-  for (int version : {0, 1}) {
-    WireFormat wire = wire_for_version(version);
-    const auto bytes = wire.encode(make_frame(4, 6, 12));
-    std::mt19937_64 rng(99);
-    for (std::size_t off = 0; off < bytes.size(); ++off) {
-      // Random bit flip plus a whole-byte overwrite at every offset:
-      // the header fields (magic, version, shape, bits, seq, scale,
-      // timestamp) all get hit.
-      auto flipped = bytes;
-      flipped[off] ^= std::uint8_t(1u << (rng() % 8));
-      expect_sane(wire.decode(flipped));
-      auto stomped = bytes;
-      stomped[off] = std::uint8_t(rng());
-      expect_sane(wire.decode(stomped));
-    }
+  WireFormat wire;
+  const auto bytes = wire.encode(make_frame(4, 6, 12));
+  std::mt19937_64 rng(99);
+  for (std::size_t off = 0; off < bytes.size(); ++off) {
+    // Random bit flip plus a whole-byte overwrite at every offset:
+    // the header fields (magic, version, shape, bits, seq, scale,
+    // timestamp) all get hit.
+    auto flipped = bytes;
+    flipped[off] ^= std::uint8_t(1u << (rng() % 8));
+    expect_sane(wire.decode(flipped));
+    auto stomped = bytes;
+    stomped[off] = std::uint8_t(rng());
+    expect_sane(wire.decode(stomped));
   }
 }
 
@@ -264,19 +257,19 @@ TEST(WireTest, NonFiniteHeaderFieldsAreRejected) {
 
 TEST(WireTest, RandomGarbageBuffersNeverCrash) {
   WireFormat wire;
-  wire.accept_legacy_v0 = true;  // exercise both parsers
   std::mt19937_64 rng(4242);
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<std::uint8_t> junk(rng() % 512);
     for (auto& b : junk) b = std::uint8_t(rng());
     if (junk.size() >= 4) {
-      // Give two thirds of the trials a valid magic so decode gets
-      // past the first gate and exercises the header validation of
-      // both generations.
+      // Give a third of the trials the v1 magic so decode gets past
+      // the first gate and exercises the header validation, and a
+      // third the v0 magic, which must be refused outright.
       if (trial % 3 == 0) {
         junk[0] = 0x32; junk[1] = 0x52; junk[2] = 0x54; junk[3] = 0x41;  // v1
       } else if (trial % 3 == 1) {
         junk[0] = 0x31; junk[1] = 0x52; junk[2] = 0x54; junk[3] = 0x41;  // v0
+        EXPECT_FALSE(wire.decode(junk).has_value());
       }
     }
     expect_sane(wire.decode(junk));
