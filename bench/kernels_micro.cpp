@@ -1,15 +1,13 @@
 // Per-kernel microbenchmark for the SIMD layer: projector matvec,
 // Bartlett quadratic form, covariance accumulation, forward-backward
-// averaging, the heatmap gather+lerp+product, the batched SoA forms
-// (multi-client heatmap pass, batched spectrum blur), and the coarse
-// score accumulation of the quantized position sweep, each timed at
+// averaging, the heatmap gather+lerp+product, and the batched SoA forms
+// (multi-client heatmap pass, batched spectrum blur), each timed at
 // the scalar level and at the dispatched level, reporting ns/op and the
 // effective memory bandwidth of the streams each kernel touches. Emits
 // BENCH_kernels.json (path overridable with `--out`); `--smoke` runs a
 // fast pass that also cross-checks scalar vs dispatched results
-// (<= 1e-9 relative), pins the batched kernels bitwise against their
-// single-row forms and the score accumulation exactly at every level,
-// and is registered as the kernels_smoke ctest.
+// (<= 1e-9 relative) and pins the batched kernels bitwise against their
+// single-row forms, and is registered as the kernels_smoke ctest.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -26,7 +24,6 @@
 using namespace arraytrack;
 using core::simd::ForcedLevel;
 using core::simd::Level;
-using linalg::CoarseLogTable;
 using linalg::SplitPlanes;
 
 namespace {
@@ -111,8 +108,6 @@ struct Fixture {
   std::vector<double> fir_in;    // interleaved, kSpecBins + kTaps - 1 samples
   std::vector<double> fir_taps;
   std::vector<double> fir_out;
-  CoarseLogTable coarse;         // round-up log2 pair-max of `power`
-  std::vector<std::int32_t> score;
 
   Fixture() {
     std::mt19937_64 rng(7);
@@ -158,8 +153,6 @@ struct Fixture {
     fir_taps.resize(kTaps);
     for (auto& v : fir_taps) v = 0.5 * (u(rng) + 1.0);
     fir_out.resize(kSpecBins * kBatch);
-    coarse = linalg::coarse_log_table(power.data(), kSpecBins, 0.05);
-    score.assign(kCells, 0);
   }
 };
 
@@ -230,22 +223,13 @@ int run(bool smoke, const char* out_path) {
       double(((kSpecBins + kTaps - 1) + kSpecBins) * kBatch *
              sizeof(double)));
 
-  const Timing score_accum = time_levels(
-      [&] {
-        linalg::kernels::score_accum(f.coarse.pairmax.data(), f.bin0.data(),
-                                     kCells, f.score.data());
-        std::fill(f.score.begin(), f.score.end(), 0);
-      },
-      40 * scale, double(kCells * 3 * sizeof(std::int32_t)));
-
   const Report reports[] = {{"projector", projector},
                             {"bartlett", bartlett},
                             {"covariance", cov},
                             {"forward_backward", fb},
                             {"heatmap", heatmap},
                             {"heatmap_batch", heatmap_batch},
-                            {"fir_batch", fir_batch},
-                            {"score_accum", score_accum}};
+                            {"fir_batch", fir_batch}};
   std::printf("dispatched level: %s (hardware max %s)\n\n",
               core::simd::name(core::simd::active()),
               core::simd::name(core::simd::hardware_level()));
@@ -361,23 +345,6 @@ int run(bool smoke, const char* out_path) {
           ++failures;
           i = kSpecBins;
         }
-      }
-  }
-
-  // Coarse score accumulation: integer adds, so every level must be
-  // exact.
-  for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
-    if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
-    ForcedLevel g(lvl);
-    std::vector<std::int32_t> got(kCells, 0);
-    linalg::kernels::score_accum(f.coarse.pairmax.data(), f.bin0.data(),
-                                 kCells, got.data());
-    for (std::size_t c = 0; c < kCells; ++c)
-      if (got[c] != f.coarse.pairmax[std::size_t(f.bin0[c])]) {
-        std::printf("SMOKE FAIL: score_accum at %s wrong at cell %zu\n",
-                    core::simd::name(lvl), c);
-        ++failures;
-        break;
       }
   }
 

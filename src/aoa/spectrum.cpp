@@ -157,14 +157,17 @@ void circular_extend(const double* row, std::size_t bins, std::size_t half,
 }
 
 void AoaSpectrum::convolve_gaussian(double sigma_rad) {
+  convolve(gaussian_taps(sigma_rad, power_.size()));
+}
+
+void AoaSpectrum::convolve(const std::vector<double>& taps) {
+  if (taps.empty()) return;
   const std::size_t n = power_.size();
-  const std::vector<double> kernel = gaussian_taps(sigma_rad, n);
-  if (kernel.empty()) return;
-  const std::size_t half = kernel.size() / 2;
+  const std::size_t half = taps.size() / 2;
   std::vector<double> ext(n + 2 * half);
   circular_extend(power_.data(), n, half, ext.data());
   // The extension is a copy, so the FIR writes straight back in place.
-  linalg::kernels::fir_batch(ext.data(), 1, n, kernel.data(), kernel.size(),
+  linalg::kernels::fir_batch(ext.data(), 1, n, taps.data(), taps.size(),
                              power_.data());
 }
 

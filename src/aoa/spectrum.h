@@ -82,6 +82,12 @@ class AoaSpectrum {
   /// sharp pseudospectrum is used as a fusion likelihood.
   void convolve_gaussian(double sigma_rad);
 
+  /// Circular convolution with odd-length `taps` centred on each bin
+  /// (gaussian_taps()'s layout, so taps.size() / 2 <= bins()); empty
+  /// taps leave the spectrum as is.
+  /// convolve_gaussian(s) is convolve(gaussian_taps(s, bins())).
+  void convolve(const std::vector<double>& taps);
+
   /// Elementwise sum/used by averaging; sizes must match.
   AoaSpectrum& operator+=(const AoaSpectrum& other);
   AoaSpectrum& operator*=(double s);

@@ -30,6 +30,8 @@ ApProcessor::ApProcessor(const phy::AccessPointFrontEnd* ap,
     resolver_ = std::make_unique<aoa::SymmetryResolver>(
         &ap_->array(), elements, wavelength, sym);
   }
+  blur_taps_ =
+      aoa::gaussian_taps(deg2rad(opt_.bearing_sigma_deg), opt_.music.bins);
 }
 
 aoa::AoaSpectrum ApProcessor::process(const phy::FrameCapture& frame,
@@ -76,7 +78,9 @@ aoa::AoaSpectrum ApProcessor::process_sharp(
 }
 
 void ApProcessor::finish_spectrum(aoa::AoaSpectrum& spec) const {
-  if (opt_.bearing_sigma_deg > 0.0)
+  if (spec.bins() == opt_.music.bins)
+    spec.convolve(blur_taps_);
+  else
     spec.convolve_gaussian(deg2rad(opt_.bearing_sigma_deg));
   spec.normalize();
 }

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "aoa/music.h"
 #include "aoa/spectrum.h"
@@ -99,6 +100,8 @@ class ApProcessor {
   /// they are built once here rather than per frame.
   std::unique_ptr<aoa::MusicEstimator> music_;
   std::unique_ptr<aoa::SymmetryResolver> resolver_;
+  /// Bearing-blur taps for the MUSIC bin count (empty: no blur).
+  std::vector<double> blur_taps_;
 };
 
 }  // namespace arraytrack::core

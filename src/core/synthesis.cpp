@@ -53,6 +53,22 @@ std::string Heatmap::to_ascii(std::size_t width) const {
 Localizer::Localizer(geom::Rect bounds, LocalizerOptions opt)
     : bounds_(bounds), opt_(opt), quant_enabled_(opt.quantized_sweep) {}
 
+Heatmap Localizer::grid() const {
+  Heatmap shape;
+  shape.bounds = bounds_;
+  shape.nx = std::max<std::size_t>(
+      1, std::size_t(bounds_.width() / opt_.grid_step_m));
+  shape.ny = std::max<std::size_t>(
+      1, std::size_t(bounds_.height() / opt_.grid_step_m));
+  return shape;
+}
+
+std::size_t Localizer::top_candidates(std::size_t ncells) const {
+  return std::min<std::size_t>(
+      ncells, std::max<std::size_t>(
+                  64, 32 * std::max<std::size_t>(1, opt_.hill_climb_starts)));
+}
+
 double Localizer::likelihood(const std::vector<ApSpectrum>& aps,
                              const geom::Vec2& x) const {
   double l = 1.0;
@@ -61,7 +77,7 @@ double Localizer::likelihood(const std::vector<ApSpectrum>& aps,
 }
 
 std::shared_ptr<const Localizer::BearingLut> Localizer::bearing_lut(
-    const ApSpectrum& ap, std::size_t nx, std::size_t ny) const {
+    const ApSpectrum& ap) const {
   const std::size_t bins = ap.spectrum.bins();
   const LutKey key{ap.ap_position.x, ap.ap_position.y, ap.orientation_rad,
                    bins};
@@ -73,28 +89,77 @@ std::shared_ptr<const Localizer::BearingLut> Localizer::bearing_lut(
 
   // Built outside the lock: two threads may race to build the same
   // table, but they produce identical values and the map keeps one.
-  Heatmap probe;
-  probe.bounds = bounds_;
-  probe.nx = nx;
-  probe.ny = ny;
+  const Heatmap probe = grid();
+  const std::size_t nx = probe.nx, ny = probe.ny;
+  const std::size_t nbx = (nx + kBlock - 1) / kBlock;
+  const std::size_t nby = (ny + kBlock - 1) / kBlock;
   auto lut = std::make_shared<BearingLut>();
   lut->bin0.resize(nx * ny);
   lut->bin1.resize(nx * ny);
   lut->frac.resize(nx * ny);
+  lut->arcs.resize(nbx * nby);
+  std::vector<std::size_t> max_arc(nby, 1);  // per block row
   const double bin_width = kTwoPi / double(bins);
-  for (std::size_t iy = 0; iy < ny; ++iy)
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const geom::Vec2 x = probe.cell_center(ix, iy);
-      const double world = (x - ap.ap_position).angle();
-      // Exactly AoaSpectrum::value_at's bin/weight derivation applied
-      // to the bearing the uncached path would pass it.
-      const double w = wrap_2pi(world - ap.orientation_rad) / bin_width;
-      const std::size_t i0 = std::size_t(w) % bins;
-      const std::size_t cell = iy * nx + ix;
-      lut->bin0[cell] = std::int32_t(i0);
-      lut->bin1[cell] = std::int32_t((i0 + 1) % bins);
-      lut->frac[cell] = w - std::floor(w);
-    }
+  const std::int32_t nb = std::int32_t(bins);
+  // Chunks of whole block rows on the shared pool: every cell and arc
+  // is an independent write, so the table is the same for any split.
+  ThreadPool::shared().parallel_ranges(
+      nby, opt_.threads, [&](std::size_t by0, std::size_t by1) {
+        for (std::size_t iy = by0 * kBlock; iy < std::min(ny, by1 * kBlock);
+             ++iy)
+          for (std::size_t ix = 0; ix < nx; ++ix) {
+            const geom::Vec2 x = probe.cell_center(ix, iy);
+            const double world = (x - ap.ap_position).angle();
+            // Exactly AoaSpectrum::value_at's bin/weight derivation
+            // applied to the bearing the uncached path would pass it.
+            const double w = wrap_2pi(world - ap.orientation_rad) / bin_width;
+            const std::size_t i0 = std::size_t(w) % bins;
+            const std::size_t cell = iy * nx + ix;
+            lut->bin0[cell] = std::int32_t(i0);
+            lut->bin1[cell] = std::int32_t((i0 + 1) % bins);
+            lut->frac[cell] = w - std::floor(w);
+          }
+
+        // Block arcs in one linear pass: each cell's bin0 is unwrapped
+        // to the offset in (-bins/2, bins/2] from its block's first
+        // cell, so the arc from the smallest to the largest offset holds
+        // every cell's bin whatever the geometry. A block that sees half
+        // a turn or more (an AP inside or beside it) gets the whole
+        // circle. Offsets are kept per column across a block row, so the
+        // inner loop runs branch-free over whole grid rows.
+        std::vector<std::int32_t> first(nx), lo(nx), hi(nx);
+        for (std::size_t by = by0; by < by1; ++by) {
+          const std::size_t y0 = by * kBlock;
+          const std::int32_t* top = lut->bin0.data() + y0 * nx;
+          for (std::size_t ix = 0; ix < nx; ++ix)
+            first[ix] = top[ix - ix % kBlock];
+          std::fill(lo.begin(), lo.end(), 0);
+          std::fill(hi.begin(), hi.end(), 0);
+          for (std::size_t iy = y0; iy < std::min(ny, y0 + kBlock); ++iy) {
+            const std::int32_t* row = lut->bin0.data() + iy * nx;
+            for (std::size_t ix = 0; ix < nx; ++ix) {
+              std::int32_t d = row[ix] - first[ix];
+              d -= 2 * d > nb ? nb : 0;
+              d += 2 * d <= -nb ? nb : 0;
+              lo[ix] = std::min(lo[ix], d);
+              hi[ix] = std::max(hi[ix], d);
+            }
+          }
+          for (std::size_t bx = 0; bx < nbx; ++bx) {
+            const std::size_t x0 = bx * kBlock, x1 = std::min(nx, x0 + kBlock);
+            const std::int32_t a = *std::min_element(&lo[x0], &lo[0] + x1);
+            const std::int32_t b = *std::max_element(&hi[x0], &hi[0] + x1);
+            ArcMax::Arc& arc = lut->arcs[by * nbx + bx];
+            if (2 * (b - a) >= nb) {
+              arc = {0, nb};
+            } else {
+              arc = {(first[x0] + a + nb) % nb, b - a + 1};
+              max_arc[by] = std::max(max_arc[by], std::size_t(arc.len));
+            }
+          }
+        }
+      });
+  lut->max_arc = *std::max_element(max_arc.begin(), max_arc.end());
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // A handful of fixed AP poses is the expected population; a runaway
@@ -103,16 +168,51 @@ std::shared_ptr<const Localizer::BearingLut> Localizer::bearing_lut(
   return bearing_cache_.emplace(key, std::move(lut)).first->second;
 }
 
+void ArcMax::build(const std::int32_t* row, std::size_t bins,
+                   std::size_t max_len) {
+  // Level j holds the maximum of the circularly doubled row over
+  // [i, i + 2^j); arcs start below `bins` and span at most `max_len`.
+  bins_ = bins;
+  stride_ = bins + max_len;
+  const std::size_t levels = std::size_t(std::bit_width(max_len));
+  table_.resize(levels * stride_);
+  std::int32_t* t = table_.data();
+  std::copy(row, row + bins, t);
+  std::copy(row, row + max_len, t + bins);
+  all_ = *std::max_element(row, row + bins);
+  for (std::size_t j = 1; j < levels; ++j) {
+    const std::int32_t* prev = t + (j - 1) * stride_;
+    std::int32_t* cur = t + j * stride_;
+    const std::size_t half = std::size_t(1) << (j - 1);
+    for (std::size_t i = 0; i + 2 * half <= stride_; ++i)
+      cur[i] = std::max(prev[i], prev[i + half]);
+  }
+}
+
+std::vector<std::int32_t> Localizer::block_bounds(
+    const std::vector<const BearingLut*>& luts,
+    const std::vector<linalg::CoarseLogTable>& tables) {
+  std::vector<std::int32_t> bound;
+  ArcMax arcmax;
+  for (std::size_t k = 0; k < luts.size(); ++k) {
+    if (!luts[k]) continue;
+    const auto& arcs = luts[k]->arcs;
+    if (bound.empty()) bound.assign(arcs.size(), 0);
+    const auto& row = tables[k].pairmax;
+    arcmax.build(row.data(), row.size(), luts[k]->max_arc);
+    for (std::size_t b = 0; b < arcs.size(); ++b)
+      bound[b] += arcmax.max(arcs[b]);
+  }
+  return bound;
+}
+
 Heatmap Localizer::heatmap(const std::vector<ApSpectrum>& aps) const {
-  Heatmap map;
-  map.bounds = bounds_;
-  map.nx = std::max<std::size_t>(1, std::size_t(bounds_.width() / opt_.grid_step_m));
-  map.ny = std::max<std::size_t>(1, std::size_t(bounds_.height() / opt_.grid_step_m));
+  Heatmap map = grid();
   map.cells.assign(map.nx * map.ny, 1.0);
 
   std::vector<std::shared_ptr<const BearingLut>> luts(aps.size());
   for (std::size_t k = 0; k < aps.size(); ++k)
-    if (!aps[k].spectrum.empty()) luts[k] = bearing_lut(aps[k], map.nx, map.ny);
+    if (!aps[k].spectrum.empty()) luts[k] = bearing_lut(aps[k]);
 
   // Row chunks on the shared pool; every cell is an independent write,
   // and the kernel's remainder lanes round exactly like its full
@@ -189,10 +289,7 @@ inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
 
 LocationEstimate Localizer::refine(const std::vector<ApSpectrum>& aps,
                                    const Heatmap& map) const {
-  const std::size_t candidates = std::min<std::size_t>(
-      map.cells.size(),
-      std::max<std::size_t>(64, 32 * std::max<std::size_t>(
-                                         1, opt_.hill_climb_starts)));
+  const std::size_t candidates = top_candidates(map.cells.size());
   std::vector<std::size_t> order;
   order.reserve(candidates + 1);
   for (std::size_t c = 0; c < map.cells.size(); ++c)
@@ -203,8 +300,8 @@ LocationEstimate Localizer::refine(const std::vector<ApSpectrum>& aps,
 
 std::optional<LocationEstimate> Localizer::refine_cells_inner(
     const std::vector<ApSpectrum>& aps, const Heatmap& shape,
-    const double* cells, std::size_t stride,
-    const std::vector<std::size_t>& order, std::size_t candidates) const {
+    const std::vector<std::size_t>& order, std::size_t candidates,
+    double top_value) const {
   // Top-K grid cells, separated so the starts are not adjacent cells
   // of the same mode; ties break toward the lower cell index to keep
   // start selection deterministic.
@@ -241,8 +338,7 @@ std::optional<LocationEstimate> Localizer::refine_cells_inner(
     // grid has at least one cell, so order is never empty here.
     const std::size_t cell = order[0];
     best = LocationEstimate{
-        shape.cell_center(cell % shape.nx, cell / shape.nx),
-        cells[cell * stride]};
+        shape.cell_center(cell % shape.nx, cell / shape.nx), top_value};
   }
   return best;
 }
@@ -253,7 +349,8 @@ LocationEstimate Localizer::refine_cells(const std::vector<ApSpectrum>& aps,
                                          std::size_t stride,
                                          std::vector<std::size_t> order,
                                          std::size_t candidates) const {
-  if (auto e = refine_cells_inner(aps, shape, cells, stride, order, candidates))
+  if (auto e = refine_cells_inner(aps, shape, order, candidates,
+                                  cells[order[0] * stride]))
     return *e;
   // Pathological spacing rejected most candidates; fall back to the
   // full ordering rather than under-seeding the hill climb.
@@ -266,108 +363,57 @@ LocationEstimate Localizer::refine_cells(const std::vector<ApSpectrum>& aps,
   order.resize(ncells);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), better);
-  return *refine_cells_inner(aps, shape, cells, stride, order, ncells);
+  return *refine_cells_inner(aps, shape, order, ncells,
+                             cells[order[0] * stride]);
 }
 
 std::optional<LocationEstimate> Localizer::locate_quant_row(
-    const std::vector<ApSpectrum>& aps,
-    const std::vector<const BearingLut*>& luts, const Heatmap& shape,
-    std::size_t candidates) const {
-  const std::size_t ncells = shape.nx * shape.ny;
+    const std::vector<ApSpectrum>& aps) const {
+  const Heatmap shape = grid();
+  const std::size_t nx = shape.nx, ny = shape.ny, ncells = nx * ny;
+  const std::size_t candidates = top_candidates(ncells);
   // The coarse pass works in log2 space, so it needs a positive floor
   // clamp; the default (0.05) qualifies, a zero/negative floor does not.
   if (opt_.floor <= 0.0 || candidates >= ncells) return std::nullopt;
 
+  std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
+  std::vector<const BearingLut*> luts(aps.size(), nullptr);
+  for (std::size_t k = 0; k < aps.size(); ++k)
+    if (!aps[k].spectrum.empty()) {
+      owned[k] = bearing_lut(aps[k]);
+      luts[k] = owned[k].get();
+    }
+
   // Per-AP round-up log2 pair-max tables; empty spectra contribute a
   // constant factor per cell, folded into the threshold instead of
   // being added to every score.
+  constexpr double kQ = double(1 << linalg::CoarseLogTable::kFracBits);
   const double empty_v = std::max(0.0, opt_.floor);
   std::int64_t base = 0;
   std::vector<linalg::CoarseLogTable> tables(aps.size());
-  for (std::size_t k = 0; k < aps.size(); ++k) {
-    if (!luts[k]) {
-      base += std::int64_t(std::ceil(
-          std::log2(empty_v) *
-          double(1 << linalg::CoarseLogTable::kFracBits)));
-      continue;
-    }
-    tables[k] = linalg::coarse_log_table(aps[k].spectrum.values().data(),
-                                         aps[k].spectrum.bins(), opt_.floor);
-  }
-
-  // Integer upper-bound scores over the full grid: one 4-byte gather +
-  // add per (cell, AP) against the float path's two 8-byte gathers, a
-  // lerp, and a multiply. Disjoint row chunks on the shared pool;
-  // integer adds make chunking trivially result-free.
-  std::vector<std::int32_t> score(ncells, 0);
-  ThreadPool::shared().parallel_ranges(
-      shape.ny, opt_.threads, [&](std::size_t y0, std::size_t y1) {
-        const std::size_t c0 = y0 * shape.nx;
-        const std::size_t count = (y1 - y0) * shape.nx;
-        for (std::size_t k = 0; k < aps.size(); ++k)
-          if (luts[k])
-            linalg::kernels::score_accum(tables[k].pairmax.data(),
-                                         luts[k]->bin0.data() + c0, count,
-                                         score.data() + c0);
-      });
-
-  // Phase A: exactly evaluate the top-`candidates` cells by coarse
-  // score with the float kernels, compacted (per-cell chains in
-  // gather_lerp_product are position-independent, so these values are
-  // bitwise what the dense sweep would write at those cells). The
-  // selection probes a widening margin below the coarse maximum with
-  // vector count passes until `candidates` cells clear it, bisects the
-  // bracket a few steps to keep the tie set small, then trims by
-  // (score desc, index asc) — exactly the set a full streaming top-K
-  // scan would keep, at a fraction of its cost.
-  const auto thr32 = [](std::int64_t t) {
-    return std::int32_t(std::clamp<std::int64_t>(
-        t, std::numeric_limits<std::int32_t>::min(),
-        std::numeric_limits<std::int32_t>::max()));
-  };
-  const std::int32_t smax = linalg::kernels::score_max(score.data(), ncells);
-  std::int64_t dlo = 0, dhi = 64;
-  while (linalg::kernels::score_count_ge(
-             score.data(), ncells, thr32(std::int64_t(smax) - dhi)) <
-         candidates) {
-    dlo = dhi;
-    dhi *= 2;
-  }
-  for (int step = 0; step < 3 && dhi - dlo > 1; ++step) {
-    const std::int64_t mid = dlo + (dhi - dlo) / 2;
-    if (linalg::kernels::score_count_ge(
-            score.data(), ncells, thr32(std::int64_t(smax) - mid)) >=
-        candidates)
-      dhi = mid;
+  for (std::size_t k = 0; k < aps.size(); ++k)
+    if (luts[k])
+      tables[k] = linalg::coarse_log_table(aps[k].spectrum.values().data(),
+                                           aps[k].spectrum.bins(), opt_.floor);
     else
-      dlo = mid;
-  }
-  const std::int32_t ta = thr32(std::int64_t(smax) - dhi);
-  const std::size_t cnt_a =
-      linalg::kernels::score_count_ge(score.data(), ncells, ta);
-  // A flat coarse surface (most of the grid within the bracket of the
-  // maximum) cannot prune enough to beat the dense sweep.
-  if (cnt_a > ncells / 2) return std::nullopt;
-  std::vector<std::uint32_t> picked(cnt_a);
-  linalg::kernels::score_collect_ge(score.data(), ncells, ta, picked.data());
-  if (picked.size() > candidates) {
-    std::nth_element(picked.begin(),
-                     picked.begin() + std::ptrdiff_t(candidates), picked.end(),
-                     [&](std::uint32_t i, std::uint32_t j) {
-                       if (score[i] != score[j]) return score[i] > score[j];
-                       return i < j;
-                     });
-    picked.resize(candidates);
-  }
-  std::vector<std::size_t> topm(picked.begin(), picked.end());
-  std::sort(topm.begin(), topm.end());
+      base += std::int64_t(std::ceil(std::log2(empty_v) * kQ));
 
-  // Exact values only exist at evaluated cells; everything else in
-  // this buffer stays uninitialized and is provably never read.
-  std::unique_ptr<double[]> dense(new double[ncells]);
+  // Coarse upper bound of every 8x8 block: each cell's score
+  // sum_k pairmax_k[bin0_k[c]] is at most its block's bound. No
+  // spectrum at all leaves no bound: every cell ties, nothing to prune.
+  const std::vector<std::int32_t> bound = block_bounds(luts, tables);
+  if (bound.empty()) return std::nullopt;
+  const std::size_t nbx = (nx + kBlock - 1) / kBlock;
+  const std::size_t nblocks = bound.size();
+
+  // Exact float values of a list of cells, each chain multiplied in AP
+  // order with the same kernels as the dense sweep (per-cell chains in
+  // gather_lerp_product are position-independent, so these values are
+  // bitwise what the dense sweep would write at those cells).
   std::vector<std::int32_t> b0, b1;
-  std::vector<double> fr, vals;
-  const auto exact_eval = [&](const std::vector<std::size_t>& cells_idx) {
+  std::vector<double> fr;
+  const auto exact_eval = [&](const std::vector<std::size_t>& cells_idx,
+                              std::vector<double>& vals) {
     const std::size_t n = cells_idx.size();
     vals.assign(n, 1.0);
     b0.resize(n);
@@ -388,60 +434,137 @@ std::optional<LocationEstimate> Localizer::locate_quant_row(
           aps[k].spectrum.values().data(), b0.data(), b1.data(), fr.data(), n,
           opt_.floor, vals.data());
     }
-    for (std::size_t i = 0; i < n; ++i) dense[cells_idx[i]] = vals[i];
   };
-  exact_eval(topm);
 
-  double exact_min = dense[topm[0]];
-  for (std::size_t c : topm) exact_min = std::min(exact_min, dense[c]);
+  // Seed: exactly evaluate the best-bounded blocks (ties toward the
+  // lower block index) until 4K cells are in hand. The K-th largest of
+  // any evaluated subset is <= the dense K-th largest value, so it is
+  // a certified threshold tau.
+  const std::size_t want = 4 * candidates;
+  std::vector<std::size_t> rank(nblocks);
+  std::iota(rank.begin(), rank.end(), 0);
+  const auto by_bound = [&](std::size_t a, std::size_t b) {
+    return bound[a] != bound[b] ? bound[a] > bound[b] : a < b;
+  };
+  std::vector<std::int32_t> seed_at(nblocks, -1);  // offset into seed_vals
+  std::vector<std::size_t> seed_cells;
+  seed_cells.reserve(want + kBlock * kBlock);
+  // Ranks only as many blocks as full ones would need, then more if
+  // partial edge blocks leave the seed short.
+  for (std::size_t ranked = 0, r = 0; seed_cells.size() < want && r < nblocks;
+       ++r) {
+    if (r == ranked) {
+      const std::size_t more = std::min(
+          nblocks, r + (want - seed_cells.size()) / (kBlock * kBlock) + 1);
+      std::partial_sort(rank.begin() + std::ptrdiff_t(r),
+                        rank.begin() + std::ptrdiff_t(more), rank.end(),
+                        by_bound);
+      ranked = more;
+    }
+    const std::size_t b = rank[r];
+    seed_at[b] = std::int32_t(seed_cells.size());
+    const std::size_t x0 = (b % nbx) * kBlock, y0 = (b / nbx) * kBlock;
+    for (std::size_t iy = y0; iy < std::min(ny, y0 + kBlock); ++iy)
+      for (std::size_t ix = x0; ix < std::min(nx, x0 + kBlock); ++ix)
+        seed_cells.push_back(iy * nx + ix);
+  }
+  std::vector<double> seed_vals;
+  exact_eval(seed_cells, seed_vals);
+  std::vector<double> kth(seed_vals);
+  std::nth_element(kth.begin(), kth.begin() + std::ptrdiff_t(candidates - 1),
+                   kth.end(), std::greater<double>());
+  const double tau = kth[candidates - 1];
   // Zero/denormal products would need -inf log thresholds; hand the
   // row back to the dense path rather than reasoning about them.
-  if (!(exact_min > 0.0) || !std::isfinite(exact_min)) return std::nullopt;
+  if (!(tau > 0.0) || !std::isfinite(tau)) return std::nullopt;
 
-  // Phase B: the K-th largest exact value of the full grid is >= the
-  // minimum of any K exactly-evaluated cells, so every cell the dense
-  // sweep would rank into its top K satisfies
-  //   score[c] + base >= 64 * log2(f_c) >= 64 * log2(exact_min) >= Lq,
-  // with one Q.6 step subtracted to absorb double log2 rounding.
-  // Cells below the threshold are *provably* outside the dense top-K.
-  // (Clamping thr into int32 only ever widens the survivor set.)
-  const std::int64_t lq =
-      std::int64_t(std::ceil(
-          std::log2(exact_min) *
-          double(1 << linalg::CoarseLogTable::kFracBits))) -
-      1;
-  const std::int32_t tb = thr32(lq - base);
-  const std::size_t cnt_b =
-      linalg::kernels::score_count_ge(score.data(), ncells, tb);
-  // Weak pruning (flat likelihoods): the dense sweep is cheaper than
-  // compacted evaluation of most of the grid.
-  if (cnt_b > ncells / 2) return std::nullopt;
-  std::vector<std::uint32_t> above(cnt_b);
-  linalg::kernels::score_collect_ge(score.data(), ncells, tb, above.data());
-  std::vector<std::size_t> extra;
-  extra.reserve(above.size());
-  for (std::uint32_t c : above)
-    if (!std::binary_search(topm.begin(), topm.end(), std::size_t(c)))
-      extra.push_back(c);
-  const std::size_t survivors = topm.size() + extra.size();
-  if (!extra.empty()) exact_eval(extra);
+  // Every cell the dense sweep would rank into its top K satisfies
+  //   score[c] + base >= 64 * log2(f_c) >= 64 * log2(tau) >= lq,
+  // with one Q.6 step subtracted to absorb double log2 rounding, and
+  // so does its block's bound. Cells below the threshold are
+  // *provably* outside the dense top-K.
+  const std::int64_t tb =
+      std::int64_t(std::ceil(std::log2(tau) * kQ)) - 1 - base;
+
+  // Survivors in ascending cell order: a row-major walk over the blocks
+  // that clear tb visits cells in index order. Seed blocks contribute
+  // every cell with its exact value; other blocks the cells whose
+  // integer score clears tb, evaluated afterwards. Weak pruning (flat
+  // likelihoods) makes the dense sweep cheaper than compacted
+  // evaluation of most of the grid.
+  std::vector<std::size_t> active;
+  active.reserve(nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b)
+    if (seed_at[b] >= 0 || bound[b] >= tb) active.push_back(b);
+  std::vector<std::size_t> surv, pending;
+  std::vector<double> surv_vals;
+  std::vector<std::size_t> pending_at;  // positions in surv
+  surv.reserve(active.size() * kBlock * kBlock);
+  surv_vals.reserve(surv.capacity());
+  pending.reserve(surv.capacity() - seed_cells.size());
+  pending_at.reserve(pending.capacity());
+  std::int32_t score[kBlock] = {};
+  for (std::size_t i = 0; i < active.size();) {
+    const std::size_t by = active[i] / nbx;
+    std::size_t end = i;
+    while (end < active.size() && active[end] / nbx == by) ++end;
+    for (std::size_t iy = by * kBlock; iy < std::min(ny, (by + 1) * kBlock);
+         ++iy) {
+      for (std::size_t a = i; a < end; ++a) {
+        const std::size_t b = active[a];
+        const std::size_t x0 = (b % nbx) * kBlock;
+        const std::size_t w = std::min(nx, x0 + kBlock) - x0;
+        const std::size_t c0 = iy * nx + x0;
+        if (seed_at[b] >= 0) {
+          const std::size_t off =
+              std::size_t(seed_at[b]) + (iy - by * kBlock) * w;
+          for (std::size_t x = 0; x < w; ++x) {
+            surv.push_back(c0 + x);
+            surv_vals.push_back(seed_vals[off + x]);
+          }
+          continue;
+        }
+        std::fill(score, score + w, 0);
+        for (std::size_t k = 0; k < aps.size(); ++k) {
+          if (!luts[k]) continue;
+          const std::int32_t* pm = tables[k].pairmax.data();
+          const std::int32_t* bin0 = luts[k]->bin0.data() + c0;
+          for (std::size_t x = 0; x < w; ++x) score[x] += pm[bin0[x]];
+        }
+        for (std::size_t x = 0; x < w; ++x)
+          if (score[x] >= tb) {
+            pending_at.push_back(surv.size());
+            pending.push_back(c0 + x);
+            surv.push_back(c0 + x);
+            surv_vals.push_back(0.0);
+          }
+      }
+      if (surv.size() > ncells / 2) return std::nullopt;
+    }
+    i = end;
+  }
+  std::vector<double> pending_vals;
+  exact_eval(pending, pending_vals);
+  for (std::size_t p = 0; p < pending.size(); ++p)
+    surv_vals[pending_at[p]] = pending_vals[p];
 
   // The survivor set contains every dense-top-K cell with bitwise-equal
   // values, so the streaming top-K over survivors fed in ascending
-  // index order reproduces the dense pass's `order` exactly. topm and
-  // extra are each ascending and disjoint, so a merge stays ascending.
-  std::vector<std::size_t> surv(survivors);
-  std::merge(topm.begin(), topm.end(), extra.begin(), extra.end(),
-             surv.begin());
+  // index order reproduces the dense pass's `order` exactly. At least
+  // K survivors (the seed's) reach tau, so a cell below it cannot rank.
   std::vector<std::size_t> order;
   order.reserve(candidates + 1);
-  for (std::size_t c : surv)
-    insert_top_cell(order, c, dense.get(), 1, candidates);
+  for (std::size_t p = 0; p < surv.size(); ++p)
+    if (surv_vals[p] >= tau)
+      insert_top_cell(order, p, surv_vals.data(), 1, candidates);
+  const double top_value = surv_vals[order[0]];
+  for (auto& p : order) p = surv[p];
 
-  auto e = refine_cells_inner(aps, shape, dense.get(), 1, order, candidates);
+  auto e = refine_cells_inner(aps, shape, order, candidates, top_value);
   if (!e) return std::nullopt;
-  quant_refined_.fetch_add(survivors, std::memory_order_relaxed);
-  quant_pruned_.fetch_add(ncells - survivors, std::memory_order_relaxed);
+  const std::size_t evaluated = seed_cells.size() + pending.size();
+  quant_refined_.fetch_add(evaluated, std::memory_order_relaxed);
+  quant_pruned_.fetch_add(ncells - evaluated, std::memory_order_relaxed);
   return e;
 }
 
@@ -449,24 +572,8 @@ std::optional<LocationEstimate> Localizer::locate(
     const std::vector<ApSpectrum>& aps) const {
   if (aps.empty()) return std::nullopt;
   if (quant_enabled_) {
-    Heatmap shape;
-    shape.bounds = bounds_;
-    shape.nx = std::max<std::size_t>(
-        1, std::size_t(bounds_.width() / opt_.grid_step_m));
-    shape.ny = std::max<std::size_t>(
-        1, std::size_t(bounds_.height() / opt_.grid_step_m));
-    const std::size_t candidates = std::min<std::size_t>(
-        shape.nx * shape.ny,
-        std::max<std::size_t>(
-            64, 32 * std::max<std::size_t>(1, opt_.hill_climb_starts)));
-    std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
-    std::vector<const BearingLut*> luts(aps.size(), nullptr);
-    for (std::size_t k = 0; k < aps.size(); ++k)
-      if (!aps[k].spectrum.empty()) {
-        owned[k] = bearing_lut(aps[k], shape.nx, shape.ny);
-        luts[k] = owned[k].get();
-      }
-    if (auto e = locate_quant_row(aps, luts, shape, candidates)) return e;
+    if (auto e = locate_quant_row(aps)) return e;
+    const Heatmap shape = grid();
     quant_refined_.fetch_add(shape.nx * shape.ny, std::memory_order_relaxed);
   }
   const Heatmap map = heatmap(aps);
@@ -476,10 +583,9 @@ std::optional<LocationEstimate> Localizer::locate(
 Localizer::BatchSweep Localizer::sweep_batch(
     const std::vector<const std::vector<ApSpectrum>*>& batch) const {
   BatchSweep sweep;
-  sweep.nx =
-      std::max<std::size_t>(1, std::size_t(bounds_.width() / opt_.grid_step_m));
-  sweep.ny = std::max<std::size_t>(
-      1, std::size_t(bounds_.height() / opt_.grid_step_m));
+  const Heatmap shape = grid();
+  sweep.nx = shape.nx;
+  sweep.ny = shape.ny;
   const std::size_t nx = sweep.nx, ny = sweep.ny;
 
   // Group rows by their ordered per-AP LUT signature (nullptr marks an
@@ -497,7 +603,7 @@ Localizer::BatchSweep Localizer::sweep_batch(
     row_luts[rj].resize(aps.size());
     for (std::size_t k = 0; k < aps.size(); ++k)
       if (!aps[k].spectrum.empty()) {
-        row_luts[rj][k] = bearing_lut(aps[k], nx, ny);
+        row_luts[rj][k] = bearing_lut(aps[k]);
         sig[k] = row_luts[rj][k].get();
       }
     groups[std::move(sig)].push_back(rj);
@@ -577,6 +683,15 @@ std::vector<Heatmap> Localizer::heatmap_batch(
 std::vector<std::optional<LocationEstimate>> Localizer::locate_batch(
     const std::vector<std::vector<ApSpectrum>>& batch) const {
   std::vector<std::optional<LocationEstimate>> out(batch.size());
+  if (quant_enabled_) {
+    // Coarse-to-fine per row: the block pass replaces the dense SoA
+    // float sweep outright, so there is no slab to share — only the
+    // bearing LUTs, which the cache already de-duplicates across rows.
+    // locate() is bitwise the dense path for every row (both feed
+    // refinement the same order over the same values).
+    for (std::size_t j = 0; j < batch.size(); ++j) out[j] = locate(batch[j]);
+    return out;
+  }
   // Empty rows keep locate()'s contract (nullopt) and stay out of the
   // shared sweep.
   std::vector<const std::vector<ApSpectrum>*> live;
@@ -588,53 +703,9 @@ std::vector<std::optional<LocationEstimate>> Localizer::locate_batch(
     }
   if (live.empty()) return out;
 
-  if (quant_enabled_) {
-    // Coarse-to-fine per row: the integer pass replaces the dense SoA
-    // float sweep outright, so there is no slab to share — only the
-    // bearing LUTs, which the cache already de-duplicates across rows.
-    // Each row's result is bitwise what locate() produces for it, which
-    // is itself bitwise the dense batch path's (both feed refinement
-    // the same order over the same values).
-    Heatmap shape;
-    shape.bounds = bounds_;
-    shape.nx = std::max<std::size_t>(
-        1, std::size_t(bounds_.width() / opt_.grid_step_m));
-    shape.ny = std::max<std::size_t>(
-        1, std::size_t(bounds_.height() / opt_.grid_step_m));
-    const std::size_t candidates = std::min<std::size_t>(
-        shape.nx * shape.ny,
-        std::max<std::size_t>(
-            64, 32 * std::max<std::size_t>(1, opt_.hill_climb_starts)));
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      const auto& aps = *live[j];
-      std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
-      std::vector<const BearingLut*> luts(aps.size(), nullptr);
-      for (std::size_t k = 0; k < aps.size(); ++k)
-        if (!aps[k].spectrum.empty()) {
-          owned[k] = bearing_lut(aps[k], shape.nx, shape.ny);
-          luts[k] = owned[k].get();
-        }
-      if (auto e = locate_quant_row(aps, luts, shape, candidates)) {
-        out[live_idx[j]] = e;
-      } else {
-        quant_refined_.fetch_add(shape.nx * shape.ny,
-                                 std::memory_order_relaxed);
-        const Heatmap map = heatmap(aps);
-        out[live_idx[j]] = refine(aps, map);
-      }
-    }
-    return out;
-  }
-
   const BatchSweep sweep = sweep_batch(live);
-  Heatmap shape;  // bounds/nx/ny only; refine_cells never reads cells
-  shape.bounds = bounds_;
-  shape.nx = sweep.nx;
-  shape.ny = sweep.ny;
-  const std::size_t candidates = std::min<std::size_t>(
-      sweep.nx * sweep.ny,
-      std::max<std::size_t>(64, 32 * std::max<std::size_t>(
-                                         1, opt_.hill_climb_starts)));
+  const Heatmap shape = grid();  // refine_cells never reads its cells
+  const std::size_t candidates = top_candidates(sweep.nx * sweep.ny);
   for (const auto& grp : sweep.groups) {
     const std::size_t g = grp.members.size();
     // One cell-major pass builds every member's top-K at once: cell c

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "core/simd.h"  // dependency-free leaf header (see its comment)
 
@@ -887,15 +886,17 @@ inline std::int32_t ceil_log2_q6_upper(double v) {
 CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
                                 double floor) {
   CoarseLogTable t;
+  if (bins == 0) return t;
   t.pairmax.resize(bins);
   // 1e-300 keeps the clamped values normal, which ceil_log2_q6_upper's
   // exponent extraction requires.
   const double lo = std::max(floor, 1e-300);
   const double ulp = 1.0 / double(1 << CoarseLogTable::kFracBits);
   double max_ratio = 1.0;
+  const double first = std::max(p[0], lo);
+  double p0 = first;
   for (std::size_t b = 0; b < bins; ++b) {
-    const double p0 = std::max(p[b], lo);
-    const double p1 = std::max(p[(b + 1) % bins], lo);
+    const double p1 = b + 1 < bins ? std::max(p[b + 1], lo) : first;
     const double hi2 = std::max(p0, p1);
     const double lo2 = std::min(p0, p1);
     // Round-up Q.6 log2 of the pair max: a certified upper bound on
@@ -905,6 +906,7 @@ CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
     // overshoot of this entry is at most the pair's log-ratio (plus
     // the quantization terms below).
     max_ratio = std::max(max_ratio, hi2 / lo2);
+    p0 = p1;
   }
   t.slack_bits =
       std::log2(max_ratio) + std::log2(257.0 / 256.0) + 2.0 * ulp;
@@ -913,147 +915,3 @@ CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
 
 }  // namespace arraytrack::linalg
 
-namespace arraytrack::linalg::kernels {
-namespace {
-
-void score_accum_scalar(const std::int32_t* table, const std::int32_t* bin0,
-                        std::size_t count, std::int32_t* score) {
-  for (std::size_t c = 0; c < count; ++c) score[c] += table[bin0[c]];
-}
-
-#if AT_KERNELS_X86
-
-AT_TARGET_AVX2
-void score_accum_avx2(const std::int32_t* table, const std::int32_t* bin0,
-                      std::size_t count, std::int32_t* score) {
-  std::size_t c = 0;
-  for (; c + 8 <= count; c += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bin0 + c));
-    const __m256i vals = _mm256_i32gather_epi32(table, idx, 4);
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(score + c));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(score + c),
-                        _mm256_add_epi32(cur, vals));
-  }
-  for (; c < count; ++c) score[c] += table[bin0[c]];
-}
-
-AT_TARGET_AVX2
-std::int32_t score_max_avx2(const std::int32_t* v, std::size_t n) {
-  std::int32_t best = v[0];
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-    for (i = 8; i + 8 <= n; i += 8)
-      acc = _mm256_max_epi32(
-          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-    alignas(32) std::int32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (int l = 0; l < 8; ++l) best = std::max(best, lanes[l]);
-  }
-  for (; i < n; ++i) best = std::max(best, v[i]);
-  return best;
-}
-
-AT_TARGET_AVX2
-std::size_t score_count_ge_avx2(const std::int32_t* v, std::size_t n,
-                                std::int32_t thr) {
-  const __m256i lim = _mm256_set1_epi32(thr - 1);  // >= thr  <=>  > thr-1
-  std::size_t count = 0, i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const int mask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(x, lim)));
-    count += std::size_t(__builtin_popcount(unsigned(mask)));
-  }
-  for (; i < n; ++i) count += v[i] >= thr;
-  return count;
-}
-
-AT_TARGET_AVX2
-std::size_t score_collect_ge_avx2(const std::int32_t* v, std::size_t n,
-                                  std::int32_t thr, std::uint32_t* out) {
-  const __m256i lim = _mm256_set1_epi32(thr - 1);
-  std::size_t w = 0, i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    unsigned mask = unsigned(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(x, lim))));
-    while (mask) {
-      const unsigned l = unsigned(__builtin_ctz(mask));
-      out[w++] = std::uint32_t(i + l);
-      mask &= mask - 1;
-    }
-  }
-  for (; i < n; ++i)
-    if (v[i] >= thr) out[w++] = std::uint32_t(i);
-  return w;
-}
-
-#endif  // AT_KERNELS_X86
-
-std::int32_t score_max_scalar(const std::int32_t* v, std::size_t n) {
-  std::int32_t best = v[0];
-  for (std::size_t i = 1; i < n; ++i) best = std::max(best, v[i]);
-  return best;
-}
-
-std::size_t score_count_ge_scalar(const std::int32_t* v, std::size_t n,
-                                  std::int32_t thr) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += v[i] >= thr;
-  return count;
-}
-
-std::size_t score_collect_ge_scalar(const std::int32_t* v, std::size_t n,
-                                    std::int32_t thr, std::uint32_t* out) {
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (v[i] >= thr) out[w++] = std::uint32_t(i);
-  return w;
-}
-
-}  // namespace
-
-void score_accum(const std::int32_t* table, const std::int32_t* bin0,
-                 std::size_t count, std::int32_t* score) {
-#if AT_KERNELS_X86
-  if (core::simd::active() == Level::kAvx2)
-    return score_accum_avx2(table, bin0, count, score);
-#endif
-  score_accum_scalar(table, bin0, count, score);
-}
-
-std::int32_t score_max(const std::int32_t* v, std::size_t n) {
-#if AT_KERNELS_X86
-  if (core::simd::active() == Level::kAvx2) return score_max_avx2(v, n);
-#endif
-  return score_max_scalar(v, n);
-}
-
-std::size_t score_count_ge(const std::int32_t* v, std::size_t n,
-                           std::int32_t thr) {
-#if AT_KERNELS_X86
-  // The vector compare tests > thr-1, which wraps at INT32_MIN; that
-  // threshold means "everything" anyway, so the scalar path takes it.
-  if (core::simd::active() == Level::kAvx2 &&
-      thr != std::numeric_limits<std::int32_t>::min())
-    return score_count_ge_avx2(v, n, thr);
-#endif
-  return score_count_ge_scalar(v, n, thr);
-}
-
-std::size_t score_collect_ge(const std::int32_t* v, std::size_t n,
-                             std::int32_t thr, std::uint32_t* out) {
-#if AT_KERNELS_X86
-  if (core::simd::active() == Level::kAvx2 &&
-      thr != std::numeric_limits<std::int32_t>::min())
-    return score_collect_ge_avx2(v, n, thr, out);
-#endif
-  return score_collect_ge_scalar(v, n, thr, out);
-}
-
-}  // namespace arraytrack::linalg::kernels

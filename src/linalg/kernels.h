@@ -144,26 +144,5 @@ void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
 void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
                const double* taps, std::size_t ntaps, double* out);
 
-/// Coarse heatmap scoring pass: score[c] += table[bin0[c]] over int32
-/// accumulators — the quantized, log-domain form of
-/// gather_lerp_product (the product becomes a sum of round-up log2
-/// pair-max entries from coarse_log_table, so one gather + add per
-/// (cell, AP) replaces two gathers, a lerp, and a multiply). Integer
-/// adds are associative, so every dispatch level is bitwise identical
-/// by construction.
-void score_accum(const std::int32_t* table, const std::int32_t* bin0,
-                 std::size_t count, std::int32_t* score);
-
-/// Selection helpers over coarse score arrays — exact integer
-/// reductions, so every dispatch level is bitwise identical by
-/// construction. score_max needs n >= 1; score_collect_ge writes the
-/// indices with v[i] >= thr in ascending order into `out` (size it
-/// with score_count_ge) and returns how many it wrote.
-std::int32_t score_max(const std::int32_t* v, std::size_t n);
-std::size_t score_count_ge(const std::int32_t* v, std::size_t n,
-                           std::int32_t thr);
-std::size_t score_collect_ge(const std::int32_t* v, std::size_t n,
-                             std::int32_t thr, std::uint32_t* out);
-
 }  // namespace kernels
 }  // namespace arraytrack::linalg

@@ -82,13 +82,18 @@ bool shape_ok(std::size_t elements, std::size_t snapshots, int bits) {
 // NaN/inf into the pipeline (a non-finite scale poisons every sample;
 // a non-finite timestamp breaks frame grouping and service deadlines).
 // encode() can only produce finite positive scales.
-bool scalars_ok(double timestamp_s, double snr_db, double scale, int bits) {
+bool scalars_ok(double timestamp_s, double snr_db, double scale, int bits,
+                std::size_t elements, std::size_t snapshots) {
   if (!std::isfinite(timestamp_s) || !std::isfinite(snr_db) ||
       !std::isfinite(scale) || scale <= 0.0)
     return false;
-  // The largest magnitude get_signed can produce is 2^(bits-1); a huge
-  // (but finite) corrupted scale would overflow samples to inf.
-  return std::isfinite(scale * double(1ull << (bits - 1)));
+  // The largest magnitude get_signed can produce is 2^(bits-1). A huge
+  // (but finite) scale would overflow the capture's power — and with it
+  // every covariance the pipeline forms — to inf: bound the full-scale
+  // power |I|^2 + |Q|^2 summed over every sample.
+  const double full = scale * double(1ull << (bits - 1));
+  return std::isfinite(full * full * 2.0 * double(elements) *
+                       double(snapshots));
 }
 
 }  // namespace
@@ -186,7 +191,8 @@ std::optional<FrameCapture> WireFormat::decode(
   frame.snr_db = get_f64(p + 40);
   const double scale = get_f64(p + 48);
   frame.client_id = int(std::int32_t(get_u32(p + 56)));
-  if (!scalars_ok(frame.timestamp_s, frame.snr_db, scale, bits))
+  if (!scalars_ok(frame.timestamp_s, frame.snr_db, scale, bits, elements,
+                  snapshots))
     return std::nullopt;
 
   const std::size_t nb = rail_bytes(bits);

@@ -469,10 +469,13 @@ void LocationService::decode_partition(
       continue;
     }
     // Malformed or mis-addressed records are counted, never trusted:
-    // an unknown AP, an untagged client, or a header claiming a
-    // different source AP than the link it arrived on.
+    // an unknown AP, an untagged client, a header claiming a different
+    // source AP than the link it arrived on, or a capture whose element
+    // ids are not the AP's (too few rows for its MUSIC row, or elements
+    // it does not have).
     if (rec.ap_index >= num_aps || frame->client_id < 0 ||
-        frame->source_ap != rec.ap_index) {
+        frame->source_ap != rec.ap_index ||
+        frame->element_ids != ap_ingest_[rec.ap_index].elements) {
       stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -573,6 +576,9 @@ void LocationService::ingest_wire(const std::vector<TimedWireRecord>& records) {
   start();
   const std::size_t num_aps = system_->num_aps();
   if (ap_ingest_.size() < num_aps) ap_ingest_.resize(num_aps);
+  for (std::size_t a = 0; a < num_aps; ++a)
+    if (ap_ingest_[a].elements.empty())
+      ap_ingest_[a].elements = system_->ap(int(a)).capture_elements();
   if (ingest_rings_.size() < opt_.shards) {
     ingest_rings_.reserve(opt_.shards);
     while (ingest_rings_.size() < opt_.shards)

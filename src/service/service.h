@@ -422,6 +422,8 @@ class LocationService {
   struct ApIngestState {
     bool seen = false;
     std::uint64_t last_seq = 0;
+    /// The AP's capture element ids; a record must carry exactly these.
+    std::vector<std::size_t> elements;
   };
 
   std::size_t shard_of(int client_id) const;

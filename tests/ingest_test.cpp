@@ -8,9 +8,10 @@
 //   wire_records_in == wire_accepted + decode_errors
 //                      + wire_version_rejected + wire_duplicates
 //                      + wire_replays + ring_dropped,
-// and (e) hostile-but-decodable records (zero power, saturated rails,
-// one snapshot, a client at an AP, degenerate AP layouts) never yield a
-// non-finite or off-floor fix.
+// and (e) hostile records (zero power, saturated rails, one snapshot,
+// a client at an AP, degenerate AP layouts) never yield a non-finite or
+// off-floor fix, and those the pipeline cannot use (too few or foreign
+// elements, a scale whose power overflows) end in decode_errors.
 // The concurrent cases also run under the ThreadSanitizer tier of
 // tools/check.sh.
 #include <gtest/gtest.h>
@@ -379,20 +380,32 @@ enum class Hostile {
   kSaturated,    // every rail at the int16 full scale, random signs
   kOneSnapshot,  // a single column: a rank-one covariance
   kLegacyV0,     // re-framed as an unversioned "1RTA" record
+  kShortRow,     // two elements: fewer than the AP's MUSIC row
+  kForeignIds,   // element ids the AP does not have
+  kHugeScale,    // saturated rails at amplitude 1e200
+  kCount,
+};
+
+struct HostileFeed {
+  std::vector<Record> records;
+  std::size_t legacy = 0;     // kLegacyV0 records
+  std::size_t unusable = 0;   // kShortRow + kForeignIds + kHugeScale
 };
 
 /// Seeded generator of wire records that decode (or, for kLegacyV0, are
-/// well formed) yet stress the pipeline: each transmit puts its client
-/// at a random floor point or exactly on an AP, and each AP's capture
-/// gets a random Hostile rewrite. Per-AP sequence numbers stay
-/// increasing, so every v1 record is admitted.
-std::vector<Record> hostile_feed(core::System& sys, const geom::Rect& floor,
-                                 std::uint64_t seed, int transmits) {
+/// well formed) yet stress the pipeline, or that decode into captures
+/// the AP's pipeline cannot use: each transmit puts its client at a
+/// random floor point or exactly on an AP, and the APs' captures cycle
+/// through every Hostile rewrite from a seeded offset. Per-AP sequence
+/// numbers stay increasing, so every usable v1 record is admitted.
+HostileFeed hostile_feed(core::System& sys, const geom::Rect& floor,
+                         std::uint64_t seed, int transmits) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> ux(floor.min.x, floor.max.x);
   std::uniform_real_distribution<double> uy(floor.min.y, floor.max.y);
   phy::WireFormat wire;
-  std::vector<Record> out;
+  HostileFeed out;
+  std::size_t next_kind = rng() % std::size_t(Hostile::kCount);
   for (int i = 0; i < transmits; ++i) {
     const double t = 0.1 + 0.1 * i;
     const int client = int(rng() % 3);
@@ -401,27 +414,48 @@ std::vector<Record> hostile_feed(core::System& sys, const geom::Rect& floor,
     sys.transmit(client, pos, t);
     for (std::size_t a = 0; a < sys.num_aps(); ++a) {
       phy::FrameCapture f = sys.ap(int(a)).buffer().newest();
-      const auto kind = Hostile(rng() % 5);
+      const auto kind =
+          Hostile(next_kind++ % std::size_t(Hostile::kCount));
       auto& x = f.samples;
+      const auto saturate = [&](double amp) {
+        for (std::size_t m = 0; m < x.rows(); ++m)
+          for (std::size_t k = 0; k < x.cols(); ++k)
+            x(m, k) = cplx{rng() % 2 ? amp : -amp, rng() % 2 ? amp : -amp};
+      };
       switch (kind) {
         case Hostile::kNone:
         case Hostile::kLegacyV0:
+        case Hostile::kCount:
           break;
         case Hostile::kZeroPower:
           x = linalg::CMatrix(x.rows(), x.cols());
           break;
         case Hostile::kSaturated:
-          for (std::size_t m = 0; m < x.rows(); ++m)
-            for (std::size_t k = 0; k < x.cols(); ++k)
-              x(m, k) = cplx{rng() % 2 ? 1.0 : -1.0, rng() % 2 ? 1.0 : -1.0};
+          saturate(1.0);
           break;
         case Hostile::kOneSnapshot:
           x = x.block(0, 0, x.rows(), 1);
           break;
+        case Hostile::kShortRow:
+          x = x.block(0, 0, 2, x.cols());
+          f.element_ids.resize(2);
+          break;
+        case Hostile::kForeignIds:
+          for (auto& id : f.element_ids) id += 100;
+          break;
+        case Hostile::kHugeScale:
+          saturate(1e200);
+          break;
       }
       auto bytes = wire.encode(f);
-      if (kind == Hostile::kLegacyV0) bytes = test::v0_from_v1(bytes);
-      out.push_back({t, a, std::move(bytes)});
+      if (kind == Hostile::kLegacyV0) {
+        bytes = test::v0_from_v1(bytes);
+        ++out.legacy;
+      }
+      if (kind == Hostile::kShortRow || kind == Hostile::kForeignIds ||
+          kind == Hostile::kHugeScale)
+        ++out.unusable;
+      out.records.push_back({t, a, std::move(bytes)});
     }
   }
   return out;
@@ -438,12 +472,14 @@ void expect_hostile_feed_handled(core::System& capture,
     const auto feed = hostile_feed(capture, floor, seed, 12);
     auto sys = fresh();
     LocationService svc(sys.get(), virtual_options(2));
-    const auto rep = svc.run_wire(feed);
+    const auto rep = svc.run_wire(feed.records);
     const auto& st = svc.stats();
-    EXPECT_EQ(st.wire_records_in.load(), feed.size());
+    EXPECT_EQ(st.wire_records_in.load(), feed.records.size());
     EXPECT_GT(st.wire_accepted.load(), 0u);
-    EXPECT_GT(st.wire_version_rejected.load(), 0u);
-    EXPECT_EQ(st.decode_errors.load(), 0u);
+    EXPECT_GT(feed.legacy, 0u);
+    EXPECT_GT(feed.unusable, 0u);
+    EXPECT_EQ(st.wire_version_rejected.load(), feed.legacy);
+    EXPECT_EQ(st.decode_errors.load(), feed.unusable);
     expect_accounted(st);
     for (const auto& f : rep.fixes) {
       ASSERT_TRUE(std::isfinite(f.position.x) && std::isfinite(f.position.y))

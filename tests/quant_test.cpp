@@ -1,8 +1,8 @@
 // The quantized coarse-to-fine position sweep. The contracts under
-// test: the integer scoring kernels are bitwise identical across every
-// dispatch level, the coarse log table is a certified upper bound on
-// the float heatmap factors it prunes against, and the quantized sweep
-// produces fix sets byte-identical to the all-float path.
+// test: the coarse log table is a certified upper bound on the float
+// heatmap factors it prunes against, every 8x8 block's bin arc and
+// bound cover each of its cells, and the quantized sweep produces fix
+// sets byte-identical to the all-float path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "core/synthesis.h"
 #include "linalg/kernels.h"
 #include "service/service.h"
+#include "testbed/office.h"
 
 namespace arraytrack {
 namespace {
@@ -27,30 +28,6 @@ std::vector<Level> runnable_levels() {
   for (Level l : {Level::kSse2, Level::kAvx2})
     if (core::simd::clamp_to_hardware(l) == l) out.push_back(l);
   return out;
-}
-
-TEST(QuantKernelsTest, ScoreAccumBitwiseIdenticalAcrossLevels) {
-  std::mt19937_64 rng(31);
-  const std::size_t bins = 360, count = 1013;
-  std::vector<std::int32_t> table(bins);
-  std::uniform_int_distribution<std::int32_t> tv(-5000, 5000);
-  for (auto& v : table) v = tv(rng);
-  std::vector<std::int32_t> bin0(count);
-  std::uniform_int_distribution<std::int32_t> bv(0, int(bins) - 1);
-  for (auto& v : bin0) v = bv(rng);
-
-  std::vector<std::int32_t> want(count, 17);
-  {
-    ForcedLevel g(Level::kScalar);
-    linalg::kernels::score_accum(table.data(), bin0.data(), count,
-                                 want.data());
-  }
-  for (Level lvl : runnable_levels()) {
-    ForcedLevel g(lvl);
-    std::vector<std::int32_t> got(count, 17);
-    linalg::kernels::score_accum(table.data(), bin0.data(), count, got.data());
-    for (std::size_t c = 0; c < count; ++c) ASSERT_EQ(got[c], want[c]);
-  }
 }
 
 // --- the guard band is load-bearing -----------------------------------
@@ -215,6 +192,196 @@ TEST(QuantLocalizerTest, NonPositiveFloorFallsBackToDensePath) {
   EXPECT_EQ(a->position.y, b->position.y);
   EXPECT_EQ(a->likelihood, b->likelihood);
   EXPECT_EQ(loc_on.quant_pruned(), 0u);  // nothing was pruned
+}
+
+// --- 8x8 block bounds -------------------------------------------------
+
+TEST(QuantBlockTest, ArcMaxMatchesBruteForceOnEveryArc) {
+  std::mt19937_64 rng(5);
+  for (std::size_t bins : {1u, 2u, 7u, 181u, 720u}) {
+    std::vector<std::int32_t> row(bins);
+    std::uniform_int_distribution<std::int32_t> v(-4000, 4000);
+    for (auto& x : row) x = v(rng);
+    const std::size_t max_len = (bins + 1) / 2;
+    core::ArcMax am;
+    am.build(row.data(), bins, max_len);
+    for (std::size_t lo = 0; lo < bins; ++lo)
+      for (std::size_t len : {std::size_t(1), max_len / 2 + 1, max_len, bins}) {
+        if (len > max_len && len != bins) continue;
+        std::int32_t want = row[lo];
+        for (std::size_t i = 0; i < len; ++i)
+          want = std::max(want, row[(lo + i) % bins]);
+        ASSERT_EQ(am.max({std::int32_t(lo), std::int32_t(len)}), want)
+            << "bins " << bins << " lo " << lo << " len " << len;
+      }
+  }
+}
+
+struct BlockLayout {
+  const char* name;
+  geom::Rect bounds;
+  double step;
+  std::vector<std::pair<geom::Vec2, double>> poses;
+};
+
+std::vector<BlockLayout> block_layouts() {
+  const auto tb = testbed::OfficeTestbed::standard();
+  BlockLayout office{"office", tb.plan.bounds(), 0.10, {}};
+  for (const auto& site : tb.ap_sites)
+    office.poses.push_back({site.position, site.orientation_rad});
+  return {
+      office,
+      {"collinear", {{0, 0}, {18, 10}}, 0.3,
+       {{{2, 5}, 0.0}, {{9, 5}, deg2rad(90.0)}, {{16, 5}, deg2rad(180.0)}}},
+      {"one_ap", {{0, 0}, {18, 10}}, 0.25, {{{9, 9.5}, deg2rad(-90.0)}}},
+      // Inside the floor, on a cell corner and off it: the blocks around
+      // the AP see the whole circle.
+      {"ap_inside", {{0, 0}, {10.3, 7.7}}, 0.1,
+       {{{4.0, 4.0}, deg2rad(30.0)}, {{6.37, 2.11}, deg2rad(-120.0)}}},
+  };
+}
+
+// Every cell's bin0 lies inside its block's arc, and every block bound
+// is >= the coarse score of each of its cells: the two facts the block
+// sweep's pruning rests on. The LUT built on the pool equals a serial
+// build.
+TEST(QuantBlockTest, ArcsHoldEveryCellAndBoundsDominateCellScores) {
+  std::mt19937_64 rng(11);
+  for (const auto& lay : block_layouts()) {
+    SCOPED_TRACE(lay.name);
+    core::LocalizerOptions opt;
+    opt.grid_step_m = lay.step;
+    core::Localizer loc(lay.bounds, opt);
+    core::LocalizerOptions serial_opt = opt;
+    serial_opt.threads = 1;  // the pool-built LUT must match a serial one
+    core::Localizer serial(lay.bounds, serial_opt);
+    const core::Heatmap shape = loc.grid();
+    const std::size_t nx = shape.nx, ny = shape.ny, B = core::Localizer::kBlock;
+    const std::size_t nbx = (nx + B - 1) / B, nby = (ny + B - 1) / B;
+    for (std::size_t bins : {720u, 181u}) {
+      SCOPED_TRACE(testing::Message() << bins << " bins");
+      std::vector<core::ApSpectrum> aps;
+      std::vector<std::shared_ptr<const core::Localizer::BearingLut>> owned;
+      std::vector<const core::Localizer::BearingLut*> luts;
+      std::vector<CoarseLogTable> tables;
+      std::uniform_real_distribution<double> mag(-4.0, 0.0);
+      for (const auto& [pos, orient] : lay.poses) {
+        core::ApSpectrum ap{pos, orient, aoa::AoaSpectrum(bins)};
+        for (std::size_t i = 0; i < bins; ++i)
+          ap.spectrum[i] = std::pow(10.0, mag(rng));
+        owned.push_back(loc.bearing_lut(ap));
+        luts.push_back(owned.back().get());
+        const auto one = serial.bearing_lut(ap);
+        ASSERT_EQ(one->bin0, luts.back()->bin0);
+        ASSERT_EQ(one->bin1, luts.back()->bin1);
+        ASSERT_EQ(one->frac, luts.back()->frac);
+        ASSERT_EQ(one->max_arc, luts.back()->max_arc);
+        for (std::size_t b = 0; b < one->arcs.size(); ++b) {
+          ASSERT_EQ(one->arcs[b].lo, luts.back()->arcs[b].lo);
+          ASSERT_EQ(one->arcs[b].len, luts.back()->arcs[b].len);
+        }
+        tables.push_back(linalg::coarse_log_table(
+            ap.spectrum.values().data(), bins, opt.floor));
+        aps.push_back(std::move(ap));
+      }
+      // An empty spectrum has no LUT and no bound term.
+      luts.push_back(nullptr);
+      tables.emplace_back();
+
+      const std::vector<std::int32_t> bound =
+          core::Localizer::block_bounds(luts, tables);
+      ASSERT_EQ(bound.size(), nbx * nby);
+      for (const auto* lut : luts) {
+        if (!lut) continue;
+        ASSERT_EQ(lut->arcs.size(), nbx * nby);
+        for (const auto& arc : lut->arcs) {
+          ASSERT_GE(arc.len, 1);
+          ASSERT_LE(std::size_t(arc.len), bins);
+          if (std::size_t(arc.len) < bins) {
+            ASSERT_LE(std::size_t(arc.len), lut->max_arc);
+          }
+        }
+      }
+      for (std::size_t iy = 0; iy < ny; ++iy)
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+          const std::size_t c = iy * nx + ix;
+          const std::size_t b = (iy / B) * nbx + ix / B;
+          std::int64_t score = 0;
+          for (std::size_t k = 0; k < luts.size(); ++k) {
+            if (!luts[k]) continue;
+            const auto arc = luts[k]->arcs[b];
+            const std::int32_t bin = luts[k]->bin0[c];
+            const std::int32_t off =
+                (bin - arc.lo + std::int32_t(bins)) % std::int32_t(bins);
+            ASSERT_LT(off, arc.len) << "cell " << ix << "," << iy << " ap "
+                                    << k << " bin " << bin << " arc "
+                                    << arc.lo << "+" << arc.len;
+            score += tables[k].pairmax[std::size_t(bin)];
+          }
+          ASSERT_GE(std::int64_t(bound[b]), score)
+              << "cell " << ix << "," << iy;
+        }
+    }
+  }
+}
+
+// The block sweep against the dense float sweep (quant off): locate and
+// locate_batch agree bitwise at every SIMD level on a grid whose nx and
+// ny are not multiples of 8, with a dead AP, an AP inside the floor,
+// every hill-climb start count, and flat spectra that force the dense
+// fallback.
+TEST(QuantLocalizerTest, BlockSweepByteIdenticalToDenseAtEveryLevel) {
+  const geom::Rect floor{{0, 0}, {10.3, 7.7}};
+  std::vector<std::vector<core::ApSpectrum>> batch;
+  for (const geom::Vec2 truth :
+       {geom::Vec2{6.0, 4.0}, geom::Vec2{1.3, 7.1}, geom::Vec2{10.2, 0.2}}) {
+    auto row = office_row(truth);
+    row.push_back(ap_looking_at({4.0, 3.0}, deg2rad(20.0), truth));
+    batch.push_back(std::move(row));
+  }
+  std::vector<core::ApSpectrum> flat = office_row({5.0, 5.0});
+  for (auto& ap : flat)
+    for (std::size_t i = 0; i < ap.spectrum.bins(); ++i) ap.spectrum[i] = 0.5;
+  batch.push_back(flat);
+  const std::size_t flat_row = batch.size() - 1;
+
+  for (std::size_t starts : {0u, 1u, 3u}) {
+    core::LocalizerOptions on;
+    on.hill_climb_starts = starts;
+    core::LocalizerOptions off = on;
+    off.quantized_sweep = false;
+    for (Level lvl : runnable_levels()) {
+      SCOPED_TRACE(testing::Message()
+                   << core::simd::name(lvl) << " starts " << starts);
+      ForcedLevel g(lvl);
+      core::Localizer loc_on(floor, on);
+      core::Localizer loc_off(floor, off);
+      const core::Heatmap shape = loc_on.grid();
+      ASSERT_NE(shape.nx % core::Localizer::kBlock, 0u);
+      ASSERT_NE(shape.ny % core::Localizer::kBlock, 0u);
+      const auto want = loc_off.locate_batch(batch);
+      const auto got = loc_on.locate_batch(batch);
+      ASSERT_EQ(got.size(), batch.size());
+      for (std::size_t j = 0; j < batch.size(); ++j) {
+        SCOPED_TRACE(testing::Message() << "row " << j);
+        const auto dense = loc_off.locate(batch[j]);
+        const auto single = loc_on.locate(batch[j]);
+        ASSERT_TRUE(want[j] && got[j] && dense && single);
+        for (const auto* e : {&*got[j], &*dense, &*single}) {
+          EXPECT_EQ(e->position.x, want[j]->position.x);
+          EXPECT_EQ(e->position.y, want[j]->position.y);
+          EXPECT_EQ(e->likelihood, want[j]->likelihood);
+        }
+      }
+      // The flat row alone: every cell ties, so the sweep hands the
+      // whole grid to the dense path.
+      core::Localizer loc_flat(floor, on);
+      ASSERT_TRUE(loc_flat.locate(batch[flat_row]));
+      EXPECT_EQ(loc_flat.quant_pruned(), 0u);
+      EXPECT_EQ(loc_flat.quant_refined(), shape.nx * shape.ny);
+      EXPECT_GT(loc_on.quant_pruned(), loc_on.quant_refined());
+    }
+  }
 }
 
 // --- service layer -----------------------------------------------------

@@ -173,7 +173,9 @@ TEST(SpectrumTest, ConvolveGaussianBitwiseMatchesModuloLoop) {
       // window is clamped to half == bins / 2 at every size.
       for (double sigma : {deg2rad(2.0), deg2rad(20.0), 4.0}) {
         const std::size_t half = gaussian_taps(sigma, bins).size() / 2;
-        if (sigma == 4.0) ASSERT_EQ(half, bins / 2);
+        if (sigma == 4.0) {
+          ASSERT_EQ(half, bins / 2);
+        }
         std::vector<double> power(bins);
         for (auto& v : power) v = u(rng);
         AoaSpectrum s(power);

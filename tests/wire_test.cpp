@@ -255,6 +255,40 @@ TEST(WireTest, NonFiniteHeaderFieldsAreRejected) {
   EXPECT_FALSE(wire.decode(putf64(48, -1.0)).has_value());
 }
 
+// A finite scale can still overflow the capture's power (and so every
+// covariance built from it): such a record is refused, while a scale
+// whose full-scale power stays finite decodes as before.
+TEST(WireTest, ScaleThatOverflowsCapturePowerIsRejected) {
+  WireFormat wire;
+  const auto base = wire.encode(make_frame(2, 3, 14));
+  auto with_scale = [&](double v) {
+    auto b = base;
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 8; ++i) b[48 + std::size_t(i)] = std::uint8_t(bits >> (8 * i));
+    return b;
+  };
+  // Full scale 1e150 * 2^15 is finite; its power over 2 x 3 samples is not.
+  EXPECT_FALSE(wire.decode(with_scale(1e150)).has_value());
+  EXPECT_FALSE(wire.decode(with_scale(1e200)).has_value());
+  const auto ok = wire.decode(with_scale(1e140));
+  ASSERT_TRUE(ok.has_value());
+  const auto ref = wire.decode(base);
+  ASSERT_TRUE(ref.has_value());
+  const double ref_scale = [&] {
+    double v;
+    std::memcpy(&v, base.data() + 48, sizeof v);
+    return v;
+  }();
+  for (std::size_t m = 0; m < 2; ++m)
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(ok->samples(m, k).real(),
+                std::round(ref->samples(m, k).real() / ref_scale) * 1e140);
+      EXPECT_EQ(ok->samples(m, k).imag(),
+                std::round(ref->samples(m, k).imag() / ref_scale) * 1e140);
+    }
+}
+
 TEST(WireTest, RandomGarbageBuffersNeverCrash) {
   WireFormat wire;
   std::mt19937_64 rng(4242);
