@@ -89,6 +89,10 @@ class ApProcessor {
   /// spectra as one structure-of-arrays convolution per AP.
   void finish_spectrum(aoa::AoaSpectrum& spec) const;
 
+  /// The bearing-blur taps finish_spectrum() applies to a spectrum of
+  /// options().music.bins bins, built once (empty: no blur).
+  const std::vector<double>& blur_taps() const { return blur_taps_; }
+
   /// The processed spectrum tagged with the AP pose, ready to fuse.
   ApSpectrum process_tagged(const phy::FrameCapture& frame) const;
 

@@ -10,21 +10,25 @@
 namespace arraytrack::core {
 namespace {
 
-/// Bearing blur for a stack of same-size spectra in one pass: the
-/// Gaussian taps are computed once, and the multiply-accumulate streams
-/// across rows via kernels::fir_batch. Each row's bits match
-/// AoaSpectrum::convolve_gaussian (the same kernel with one row) run on
-/// that row alone.
-void blur_rows(double sigma_rad, std::vector<aoa::AoaSpectrum>& rows) {
+/// Bearing blur for a stack of one AP's sharp spectra in one pass:
+/// the multiply-accumulate streams across rows via kernels::fir_batch,
+/// with the taps the AP's processor built once. Each row's bits match
+/// ApProcessor::finish_spectrum's blur (the same kernel with one row)
+/// run on that row alone.
+void blur_rows(const ApProcessor& processor,
+               std::vector<aoa::AoaSpectrum>& rows) {
   if (rows.empty()) return;
-  const std::size_t bins = rows.front().bins();
+  const std::size_t bins = processor.options().music.bins;
   for (const auto& row : rows)
     if (row.bins() != bins) {
-      // Mixed bin counts cannot share a window; blur row by row.
+      // A foreign bin count cannot use the processor's taps; blur row
+      // by row, as finish_spectrum() does.
+      const double sigma_rad =
+          deg2rad(processor.options().bearing_sigma_deg);
       for (auto& r : rows) r.convolve_gaussian(sigma_rad);
       return;
     }
-  const auto taps = aoa::gaussian_taps(sigma_rad, bins);
+  const auto& taps = processor.blur_taps();
   if (taps.empty()) return;  // the blur is a no-op for these parameters
   const std::size_t half = taps.size() / 2;
   const std::size_t nrows = rows.size();
@@ -40,6 +44,26 @@ void blur_rows(double sigma_rad, std::vector<aoa::AoaSpectrum>& rows) {
                              out.data());
   for (std::size_t r = 0; r < nrows; ++r)
     for (std::size_t i = 0; i < bins; ++i) rows[r][i] = out[i * nrows + r];
+}
+
+/// AP-frames the first `aps` APs of a job process: each AP's newest
+/// `max_group` frames.
+std::size_t frames_processed(const FrameGroup& group, std::size_t aps,
+                             std::size_t max_group) {
+  std::size_t frames = 0;
+  for (std::size_t i = 0; i < std::min(aps, group.size()); ++i)
+    frames += std::min(group[i].size(), max_group);
+  return frames;
+}
+
+/// Pool width for a fan-out over `frames` AP-frames: one task per
+/// ArrayTrackServer::kMinFramesPerTask frames, at least 1, at most
+/// `threads` (0 = no cap beyond the pool's size). It depends only on
+/// the jobs' frame counts, so the split is reproducible.
+std::size_t fan_out_width(std::size_t frames, std::size_t threads) {
+  const std::size_t width = std::max<std::size_t>(
+      1, frames / ArrayTrackServer::kMinFramesPerTask);
+  return threads == 0 ? width : std::min(width, threads);
 }
 
 }  // namespace
@@ -104,13 +128,17 @@ std::vector<ApSpectrum> ArrayTrackServer::spectra_from_frames(
   // Per-AP pipelines (detection -> diversity synthesis -> covariance ->
   // eigendecomposition -> MUSIC -> suppression) are independent
   // read-only work over disjoint front ends, so they fan out across
-  // the shared pool. Each AP writes its own slot and the slots are
-  // compacted in registration order afterwards, so the result is
-  // identical to the serial loop for any pool width.
+  // the shared pool, as wide as the frame count pays for. Each AP
+  // writes its own slot and the slots are compacted in registration
+  // order afterwards, so the result is identical to the serial loop
+  // for any pool width.
   const std::size_t n = std::min(aps_.size(), frames_per_ap.size());
+  const std::size_t width = fan_out_width(
+      frames_processed(frames_per_ap, n, opt_.suppression.max_group),
+      opt_.localizer.threads);
   std::vector<std::optional<ApSpectrum>> slots(n);
   ThreadPool::shared().parallel_for(
-      0, n, opt_.localizer.threads, [&](std::size_t i) {
+      0, n, width, [&](std::size_t i) {
         const auto& entry = aps_[i];
         const auto& frames = frames_per_ap[i];
         if (frames.empty()) return;
@@ -155,8 +183,13 @@ std::vector<std::vector<ApSpectrum>> ArrayTrackServer::spectra_from_frames_batch
   // registration order afterwards, exactly like the un-batched path.
   std::vector<std::vector<std::optional<ApSpectrum>>> slots(
       n, std::vector<std::optional<ApSpectrum>>(b));
+  // As wide as the rows of the whole batch pay for.
+  std::size_t rows_total = 0;
+  for (const FrameGroup* group : groups)
+    rows_total += frames_processed(*group, n, opt_.suppression.max_group);
+  const std::size_t width = fan_out_width(rows_total, opt_.localizer.threads);
   ThreadPool::shared().parallel_for(
-      0, n, opt_.localizer.threads, [&](std::size_t i) {
+      0, n, width, [&](std::size_t i) {
         const auto& entry = aps_[i];
         // Sharp spectra of every (job, frame) pair this AP heard, with
         // the same newest-max_group frame selection per job as
@@ -181,8 +214,7 @@ std::vector<std::vector<ApSpectrum>> ArrayTrackServer::spectra_from_frames_batch
 
         // finish_spectrum() for the whole stack: one batched blur,
         // then per-row peak normalization.
-        const double sigma_deg = entry.processor->options().bearing_sigma_deg;
-        if (sigma_deg > 0.0) blur_rows(deg2rad(sigma_deg), rows);
+        blur_rows(*entry.processor, rows);
         for (auto& row : rows) row.normalize();
 
         std::size_t cursor = 0;

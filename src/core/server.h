@@ -91,6 +91,15 @@ class ArrayTrackServer {
   /// MUSIC estimator.
   std::size_t steering_table_bytes() const;
 
+  /// Grain of the per-AP fan-out: a job's AP pipelines go to the
+  /// shared pool in one task per this many AP-frames it processes, and
+  /// a job with fewer runs inline. Handing one task to a sleeping pool
+  /// thread costs ~20-47 us of CPU (4-vCPU AVX2 host), about one
+  /// AP-frame of work (~30-43 us), so a task must carry a few frames to
+  /// pay for itself: a single-frame 3-AP job runs inline, and a 6-AP
+  /// 3-frame burst still splits into 3 tasks of 2 APs.
+  static constexpr std::size_t kMinFramesPerTask = 3;
+
   /// Registers an AP; the front end must outlive the server.
   void register_ap(const phy::AccessPointFrontEnd* ap);
   std::size_t num_aps() const { return aps_.size(); }
@@ -100,8 +109,9 @@ class ArrayTrackServer {
   /// `now_s` and applies multipath suppression across them. Returns
   /// one tagged spectrum per AP that heard the client, in registration
   /// order. The per-AP pipelines run concurrently on the shared
-  /// core::ThreadPool (bounded by LocalizerOptions::threads); results
-  /// are identical to the serial evaluation.
+  /// core::ThreadPool (one task per kMinFramesPerTask frames, bounded
+  /// by LocalizerOptions::threads); results are identical to the
+  /// serial evaluation.
   std::vector<ApSpectrum> client_spectra(int client_id, double now_s) const;
 
   /// Copies every AP's frames from `client_id` within the suppression

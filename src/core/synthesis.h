@@ -44,7 +44,9 @@ struct LocalizerOptions {
   double floor = 0.05;
   /// Parallelism bound for the grid evaluation, the bearing-LUT build
   /// and the server's per-AP fan-out, all serviced by the shared
-  /// core::ThreadPool; 0 = the pool's full width, 1 = serial. Results
+  /// core::ThreadPool; 0 = the pool's full width, 1 = serial. It is an
+  /// upper cap: the per-AP fan-out also stays within one task per
+  /// ArrayTrackServer::kMinFramesPerTask AP-frames of the job. Results
   /// are identical for every value (chunks write disjoint slots).
   std::size_t threads = 0;
   /// Coarse-to-fine quantized sweep: the grid search bounds every 8x8

@@ -86,11 +86,13 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     return;
   }
 
-  // `width` tasks, each walking a contiguous run of indices, so the
-  // knob really bounds concurrency. The split depends only on
-  // (n, width) — never on which worker picks a task — so outputs are
-  // scheduling-independent.
+  // Chunks of `step` contiguous indices, so the knob really bounds
+  // concurrency. The split depends only on (n, width) — never on which
+  // worker picks a chunk — so outputs are scheduling-independent.
+  // Rounding `step` up can leave the last chunks empty (n = 6 at width
+  // 4 is 2+2+2+0); only the non-empty ones become tasks.
   const std::size_t step = (n + width - 1) / width;
+  width = (n + step - 1) / step;
   Batch batch;
   batch.remaining = width;
   auto run_chunk = [&batch, &body, begin, end, step](std::size_t c) {
@@ -109,6 +111,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t c = 1; c < width; ++c)
       queue_.push_back([run_chunk, c] { run_chunk(c); });
   }
+  tasks_queued_.fetch_add(width - 1, std::memory_order_relaxed);
   work_cv_.notify_all();
   run_chunk(0);
 

@@ -16,8 +16,10 @@
 //     deadlock and a 1-thread pool degenerates to the serial loop.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -42,14 +44,23 @@ class ThreadPool {
   /// Maximum concurrency a parallel region can reach: workers + caller.
   std::size_t size() const { return threads_.size() + 1; }
 
+  /// Tasks handed to the pool's threads so far (the caller's own chunk
+  /// of each region is not counted). Each costs a queue push and,
+  /// usually, a wake-up, so this counts the fan-out's hand-offs.
+  std::uint64_t tasks_queued() const {
+    return tasks_queued_.load(std::memory_order_relaxed);
+  }
+
   /// Process-wide pool shared by server, localizer and benches. Built
   /// lazily on first use, sized to the hardware.
   static ThreadPool& shared();
 
   /// Runs body(i) for every i in [begin, end), blocking until all are
   /// done. At most `max_parallel` indices run concurrently (0 = pool
-  /// size). Exceptions from `body` are rethrown on the caller (first
-  /// one wins); remaining indices still run to completion.
+  /// size): the range splits into ceil(n / step) chunks of step =
+  /// ceil(n / width) indices, and the caller runs the first. Exceptions
+  /// from `body` are rethrown on the caller (first one wins); remaining
+  /// indices still run to completion.
   void parallel_for(std::size_t begin, std::size_t end,
                     std::size_t max_parallel,
                     const std::function<void(std::size_t)>& body);
@@ -72,6 +83,7 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   bool stop_ = false;
+  std::atomic<std::uint64_t> tasks_queued_{0};
 };
 
 }  // namespace arraytrack::core

@@ -198,6 +198,10 @@ std::string LocationService::stats_json() const {
   out += ", \"steering_table_bytes\": ";
   out += std::to_string(server.steering_table_bytes());
   out += "}";
+  // Hand-offs to the shared pool's threads, process-wide: the per-AP
+  // fan-out and the localizer's row chunks of every service using it.
+  out += ", \"pool_tasks_queued\": ";
+  out += std::to_string(core::ThreadPool::shared().tasks_queued());
   out += "}";
   return out;
 }

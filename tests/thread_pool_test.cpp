@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/arraytrack.h"
@@ -64,6 +66,22 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   EXPECT_EQ(n.load(), 4);
 }
 
+TEST(ThreadPoolTest, QueuesOnlyNonEmptyChunks) {
+  // n = 6 at width 4 splits into chunks of 2: three non-empty ones, of
+  // which the caller runs the first, so two tasks reach the queue.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(6);
+  const auto before = pool.tasks_queued();
+  pool.parallel_for(0, hits.size(), 4,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  EXPECT_EQ(pool.tasks_queued() - before, 2u);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  const auto inline_before = pool.tasks_queued();
+  pool.parallel_for(0, 16, 1, [](std::size_t) {});
+  EXPECT_EQ(pool.tasks_queued(), inline_before);
+}
+
 TEST(ThreadPoolTest, SharedPoolIsPersistent) {
   ThreadPool& a = ThreadPool::shared();
   ThreadPool& b = ThreadPool::shared();
@@ -74,7 +92,10 @@ TEST(ThreadPoolTest, SharedPoolIsPersistent) {
 // --- Pool-width invariance of the server outputs ------------------------
 
 struct Rig {
-  explicit Rig(std::size_t threads) : plan(make_plan()) {
+  /// `aps` APs (3 or 6) each hearing `frames` frames from client 0.
+  explicit Rig(std::size_t threads, std::size_t aps = 3,
+               std::size_t frames = 3)
+      : plan(make_plan()) {
     SystemConfig cfg;
     cfg.server.localizer.grid_step_m = 0.25;  // keep tests quick
     cfg.server.localizer.threads = threads;
@@ -82,8 +103,13 @@ struct Rig {
     sys->add_ap({1, 1}, deg2rad(45.0));
     sys->add_ap({17, 1}, deg2rad(135.0));
     sys->add_ap({9, 9.5}, deg2rad(-90.0));
-    for (std::size_t f = 0; f < 3; ++f)
-      sys->transmit(0, {12.0, 6.0}, double(f) * 0.03);
+    if (aps == 6) {
+      sys->add_ap({1, 9}, deg2rad(-45.0));
+      sys->add_ap({17, 9}, deg2rad(-135.0));
+      sys->add_ap({9, 0.5}, deg2rad(90.0));
+    }
+    for (std::size_t f = 0; f < frames; ++f)
+      sys->transmit(0, {12.0, 6.0}, double(3 - frames + f) * 0.03);
   }
   static geom::Floorplan make_plan() {
     geom::Floorplan plan({{0, 0}, {18, 10}});
@@ -97,6 +123,31 @@ struct Rig {
   std::unique_ptr<System> sys;
 };
 
+void expect_same_spectra(const std::vector<ApSpectrum>& got,
+                         const std::vector<ApSpectrum>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].ap_position.x, want[k].ap_position.x) << where;
+    EXPECT_EQ(got[k].ap_position.y, want[k].ap_position.y) << where;
+    EXPECT_EQ(got[k].orientation_rad, want[k].orientation_rad) << where;
+    ASSERT_EQ(got[k].spectrum.bins(), want[k].spectrum.bins()) << where;
+    for (std::size_t i = 0; i < want[k].spectrum.bins(); ++i)
+      ASSERT_EQ(got[k].spectrum[i], want[k].spectrum[i])
+          << where << " ap=" << k << " bin=" << i;
+  }
+}
+
+void expect_same_fix(const std::optional<LocationEstimate>& got,
+                     const std::optional<LocationEstimate>& want,
+                     const std::string& where) {
+  ASSERT_TRUE(got.has_value()) << where;
+  ASSERT_TRUE(want.has_value()) << where;
+  EXPECT_EQ(got->position.x, want->position.x) << where;
+  EXPECT_EQ(got->position.y, want->position.y) << where;
+  EXPECT_EQ(got->likelihood, want->likelihood) << where;
+}
+
 TEST(PoolDeterminismTest, ClientSpectraIdenticalAcrossPoolWidths) {
   Rig serial(1);
   const auto want = serial.sys->server().client_spectra(0, 0.1);
@@ -105,16 +156,7 @@ TEST(PoolDeterminismTest, ClientSpectraIdenticalAcrossPoolWidths) {
   for (std::size_t threads : {std::size_t(2), std::size_t(0)}) {
     Rig rig(threads);
     const auto got = rig.sys->server().client_spectra(0, 0.1);
-    ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      EXPECT_EQ(got[k].ap_position.x, want[k].ap_position.x);
-      EXPECT_EQ(got[k].ap_position.y, want[k].ap_position.y);
-      EXPECT_EQ(got[k].orientation_rad, want[k].orientation_rad);
-      ASSERT_EQ(got[k].spectrum.bins(), want[k].spectrum.bins());
-      for (std::size_t i = 0; i < want[k].spectrum.bins(); ++i)
-        ASSERT_EQ(got[k].spectrum[i], want[k].spectrum[i])
-            << "threads=" << threads << " ap=" << k << " bin=" << i;
-    }
+    expect_same_spectra(got, want, "threads=" + std::to_string(threads));
   }
 }
 
@@ -141,6 +183,77 @@ TEST(PoolDeterminismTest, HeatmapAndLocateIdenticalAcrossPoolWidths) {
     EXPECT_EQ(fix->likelihood, want_fix->likelihood);
   }
 }
+
+// The served job shapes: walk (3 APs x 1 frame) and burst (6 APs x 3
+// frames). The fan-out's width follows the frame count, never the
+// load, and each AP writes its own slot, so every width gives the same
+// bits on the single-job and the batch path.
+struct JobShape {
+  const char* name;
+  std::size_t aps;
+  std::size_t frames;
+};
+
+class JobShapeTest : public ::testing::TestWithParam<JobShape> {};
+
+TEST_P(JobShapeTest, SpectraAndFixesIdenticalAcrossPoolWidths) {
+  const JobShape shape = GetParam();
+  Rig serial(1, shape.aps, shape.frames);
+  const auto& ref = serial.sys->server();
+  const FrameGroup frames = ref.snapshot_frames(0, 0.1);
+  ASSERT_EQ(frames.size(), shape.aps);
+  for (const auto& per_ap : frames) ASSERT_EQ(per_ap.size(), shape.frames);
+  const auto want = ref.spectra_from_frames(frames);
+  ASSERT_EQ(want.size(), shape.aps);
+  const auto want_fix = ref.locate_frames(frames);
+
+  for (std::size_t threads : {std::size_t(0), std::size_t(1), std::size_t(2),
+                              std::size_t(4)}) {
+    Rig rig(threads, shape.aps, shape.frames);
+    const auto& server = rig.sys->server();
+    const FrameGroup group = server.snapshot_frames(0, 0.1);
+    const std::string where = "threads=" + std::to_string(threads);
+    expect_same_spectra(server.spectra_from_frames(group), want,
+                        where + " single");
+    expect_same_fix(server.locate_frames(group), want_fix, where + " single");
+    const auto batch = server.spectra_from_frames_batch({&group});
+    ASSERT_EQ(batch.size(), 1u);
+    expect_same_spectra(batch[0], want, where + " batch");
+    const auto batch_fix = server.locate_frames_batch({&group});
+    ASSERT_EQ(batch_fix.size(), 1u);
+    expect_same_fix(batch_fix[0], want_fix, where + " batch");
+  }
+}
+
+TEST_P(JobShapeTest, PoolTasksFollowFrameCount) {
+  const JobShape shape = GetParam();
+  // A 4-wide cap: burst's 18 frames ask for 6 tasks, the cap leaves 4,
+  // and 6 APs at width 4 split 2+2+2, so the caller runs one chunk and
+  // queues two. Walk's 3 frames make one task, which runs inline.
+  Rig rig(4, shape.aps, shape.frames);
+  const auto& server = rig.sys->server();
+  const FrameGroup group = server.snapshot_frames(0, 0.1);
+  ASSERT_TRUE(server.locate_frames(group).has_value());  // warms the LUTs
+
+  // On a pool narrower than 3, burst splits into fewer chunks.
+  ThreadPool& pool = ThreadPool::shared();
+  const std::size_t width = std::min<std::size_t>(pool.size(), 4);
+  const std::size_t want =
+      shape.frames == 1 ? 0 : (width >= 3 ? 2 : width - 1);
+  auto before = pool.tasks_queued();
+  ASSERT_TRUE(server.locate_frames(group).has_value());
+  EXPECT_EQ(pool.tasks_queued() - before, want) << "single";
+  before = pool.tasks_queued();
+  ASSERT_TRUE(server.locate_frames_batch({&group})[0].has_value());
+  EXPECT_EQ(pool.tasks_queued() - before, want) << "batch";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolDeterminism, JobShapeTest,
+    ::testing::Values(JobShape{"walk", 3, 1}, JobShape{"burst", 6, 3}),
+    [](const ::testing::TestParamInfo<JobShape>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace arraytrack::core

