@@ -1,13 +1,13 @@
 // Per-kernel microbenchmark for the SIMD layer: projector matvec,
 // Bartlett quadratic form, covariance accumulation, forward-backward
-// averaging, the heatmap gather+lerp+product, and the batched SoA forms
-// (multi-client heatmap pass, batched spectrum blur), each timed at
-// the scalar level and at the dispatched level, reporting ns/op and the
-// effective memory bandwidth of the streams each kernel touches. Emits
-// BENCH_kernels.json (path overridable with `--out`); `--smoke` runs a
-// fast pass that also cross-checks scalar vs dispatched results
-// (<= 1e-9 relative) and pins the batched kernels bitwise against their
-// single-row forms, and is registered as the kernels_smoke ctest.
+// averaging, the heatmap gather+lerp+product, and the bearing-blur FIR,
+// each timed at the scalar level and at the dispatched level, reporting
+// ns/op and the effective memory bandwidth of the streams each kernel
+// touches. Emits BENCH_kernels.json (path overridable with `--out`);
+// `--smoke` runs a fast pass that also cross-checks scalar vs
+// dispatched results (<= 1e-9 relative) and pins the FIR bitwise
+// against the portable convolution loop at every level, and is
+// registered as the kernels_smoke ctest.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -38,9 +38,7 @@ constexpr std::size_t kCovM = 8;
 constexpr std::size_t kCovN = 10;
 constexpr std::size_t kCells = 320 * 140;
 constexpr std::size_t kSpecBins = 720;
-// Batched (SoA) forms: one LUT pass over kBatch concurrent clients,
-// and the batched spectrum blur (33 taps ~ sigma 2 deg at 720 bins).
-constexpr std::size_t kBatch = 8;
+// The spectrum blur: 33 taps ~ sigma 2 deg at 720 bins.
 constexpr std::size_t kTaps = 33;
 
 struct Timing {
@@ -103,9 +101,7 @@ struct Fixture {
   std::vector<double> frac;
   std::vector<double> cells;
   std::vector<double> sweep_out;
-  std::vector<double> table_b;   // transposed: bin b of row r at [b*kBatch+r]
-  std::vector<double> cells_b;   // interleaved: cell c of row r at [c*kBatch+r]
-  std::vector<double> fir_in;    // interleaved, kSpecBins + kTaps - 1 samples
+  std::vector<double> fir_in;    // kSpecBins + kTaps - 1 samples
   std::vector<double> fir_taps;
   std::vector<double> fir_out;
 
@@ -145,14 +141,11 @@ struct Fixture {
     }
     cells.assign(kCells, 1.0);
     sweep_out.resize(kBins);
-    table_b.resize(kSpecBins * kBatch);
-    for (auto& v : table_b) v = 0.05 + std::abs(u(rng));
-    cells_b.assign(kCells * kBatch, 1.0);
-    fir_in.resize((kSpecBins + kTaps - 1) * kBatch);
+    fir_in.resize(kSpecBins + kTaps - 1);
     for (auto& v : fir_in) v = 0.05 + std::abs(u(rng));
     fir_taps.resize(kTaps);
     for (auto& v : fir_taps) v = 0.5 * (u(rng) + 1.0);
-    fir_out.resize(kSpecBins * kBatch);
+    fir_out.resize(kSpecBins);
   }
 };
 
@@ -202,34 +195,20 @@ int run(bool smoke, const char* out_path) {
       20 * scale,
       double(kCells * (2 * sizeof(std::int32_t) + 4 * sizeof(double))));
 
-  const Timing heatmap_batch = time_levels(
+  const Timing fir = time_levels(
       [&] {
-        linalg::kernels::gather_lerp_product_batch(
-            f.table_b.data(), f.bin0.data(), f.bin1.data(), f.frac.data(),
-            kCells, kBatch, 0.05, f.cells_b.data());
-        std::fill(f.cells_b.begin(), f.cells_b.end(), 1.0);
+        linalg::kernels::fir(f.fir_in.data(), kSpecBins, f.fir_taps.data(),
+                             kTaps, f.fir_out.data());
       },
-      4 * scale,
-      double(kCells * (2 * sizeof(std::int32_t) + sizeof(double)) +
-             kCells * kBatch * 4 * sizeof(double)));
-
-  const Timing fir_batch = time_levels(
-      [&] {
-        linalg::kernels::fir_batch(f.fir_in.data(), kBatch, kSpecBins,
-                                   f.fir_taps.data(), kTaps,
-                                   f.fir_out.data());
-      },
-      400 * scale,
-      double(((kSpecBins + kTaps - 1) + kSpecBins) * kBatch *
-             sizeof(double)));
+      3200 * scale,
+      double(((kSpecBins + kTaps - 1) + kSpecBins) * sizeof(double)));
 
   const Report reports[] = {{"projector", projector},
                             {"bartlett", bartlett},
                             {"covariance", cov},
                             {"forward_backward", fb},
                             {"heatmap", heatmap},
-                            {"heatmap_batch", heatmap_batch},
-                            {"fir_batch", fir_batch}};
+                            {"fir", fir}};
   std::printf("dispatched level: %s (hardware max %s)\n\n",
               core::simd::name(core::simd::active()),
               core::simd::name(core::simd::hardware_level()));
@@ -302,50 +281,25 @@ int run(bool smoke, const char* out_path) {
                            2 * f.cov_out.size());
       },
       +[](Fixture&) -> const std::vector<double>& { return scratch; });
-  // The batched SoA kernels carry a stronger contract than the 1e-9
-  // checks above: at every level, each batch row must match the
-  // single-row form (or, for the blur, the portable convolution loop)
-  // BITWISE — the service's determinism across batch widths rests on
-  // this.
+  // The FIR carries a stronger contract than the 1e-9 checks above:
+  // at every level it must match the portable convolution loop
+  // BITWISE, because the bearing blur's bits feed every fix.
   for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
     if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
     ForcedLevel g(lvl);
-
-    std::fill(f.cells_b.begin(), f.cells_b.end(), 1.0);
-    linalg::kernels::gather_lerp_product_batch(
-        f.table_b.data(), f.bin0.data(), f.bin1.data(), f.frac.data(), kCells,
-        kBatch, 0.05, f.cells_b.data());
-    std::vector<double> row_table(kSpecBins), row_cells(kCells);
-    for (std::size_t r = 0; r < kBatch; ++r) {
-      for (std::size_t b = 0; b < kSpecBins; ++b)
-        row_table[b] = f.table_b[b * kBatch + r];
-      std::fill(row_cells.begin(), row_cells.end(), 1.0);
-      linalg::kernels::gather_lerp_product(row_table.data(), f.bin0.data(),
-                                           f.bin1.data(), f.frac.data(),
-                                           kCells, 0.05, row_cells.data());
-      for (std::size_t c = 0; c < kCells; ++c)
-        if (std::memcmp(&row_cells[c], &f.cells_b[c * kBatch + r], 8)) {
-          std::printf("SMOKE FAIL: heatmap_batch row %zu at %s not bitwise\n",
-                      r, core::simd::name(lvl));
-          ++failures;
-          break;
-        }
-    }
-
-    linalg::kernels::fir_batch(f.fir_in.data(), kBatch, kSpecBins,
-                               f.fir_taps.data(), kTaps, f.fir_out.data());
-    for (std::size_t r = 0; r < kBatch; ++r)
-      for (std::size_t i = 0; i < kSpecBins; ++i) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < kTaps; ++j)
-          acc += f.fir_taps[j] * f.fir_in[(i + j) * kBatch + r];
-        if (std::memcmp(&acc, &f.fir_out[i * kBatch + r], 8)) {
-          std::printf("SMOKE FAIL: fir_batch row %zu at %s not bitwise\n", r,
-                      core::simd::name(lvl));
-          ++failures;
-          i = kSpecBins;
-        }
+    linalg::kernels::fir(f.fir_in.data(), kSpecBins, f.fir_taps.data(), kTaps,
+                         f.fir_out.data());
+    for (std::size_t i = 0; i < kSpecBins; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < kTaps; ++j)
+        acc += f.fir_taps[j] * f.fir_in[i + j];
+      if (std::memcmp(&acc, &f.fir_out[i], 8)) {
+        std::printf("SMOKE FAIL: fir sample %zu at %s not bitwise\n", i,
+                    core::simd::name(lvl));
+        ++failures;
+        break;
       }
+    }
   }
 
   if (failures == 0) std::printf("smoke: all levels agree with scalar\n");

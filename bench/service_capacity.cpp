@@ -20,12 +20,6 @@
 // jitter on this shared box move the modeled capacity between rows of
 // the same BENCH_service.json.
 //
-// The batch axis re-calibrates the per-job cost at several batch
-// widths (the SoA-batched pipeline amortizes bearing LUTs and grid
-// tiles across concurrent clients) and reruns the sweep at a fixed
-// worker count: the sustainable-rate ratio vs batch_max = 1 is the
-// capacity the batching buys.
-//
 // The producers axis exercises the sharded wire-ingest front-end:
 // decode cost is measured serially once, ingest capacity with P
 // decoder threads is modeled as P x the serial decode rate, and one
@@ -86,40 +80,6 @@ double calibrate_job_cost_s(const testbed::OfficeTestbed& tb) {
   return costs.empty() ? 0.02 : costs[costs.size() / 2];
 }
 
-/// Median serial per-job cost of the batched pipeline at width B:
-/// locate_frames_batch over B distinct warm snapshots, divided by B.
-/// Width 1 measures the same single-job path the service falls back
-/// to, so the batch axis's baseline matches its sweep.
-double calibrate_batch_cost_s(const testbed::OfficeTestbed& tb,
-                              std::size_t width) {
-  auto sys = make_system(tb);
-  std::vector<core::FrameGroup> groups;
-  for (std::size_t k = 0; k < width + 2; ++k) {
-    const std::size_t c = k % tb.clients.size();
-    const double t = 0.5 * double(k);
-    sys->transmit(int(c), tb.clients[c], t);
-    auto frames = sys->server().snapshot_frames(int(c), t + 1e-4);
-    if (k >= 2)
-      groups.push_back(std::move(frames));
-    else
-      (void)sys->server().locate_frames(frames);  // warm the LUT caches
-  }
-  std::vector<const core::FrameGroup*> ptrs;
-  for (const auto& g : groups) ptrs.push_back(&g);
-  std::vector<double> costs;
-  const int trials = 8;
-  for (int k = 0; k < trials + 2; ++k) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto fixes = sys->server().locate_frames_batch(ptrs);
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (k >= 2 && !fixes.empty()) costs.push_back(dt / double(width));
-  }
-  std::sort(costs.begin(), costs.end());
-  return costs.empty() ? 0.02 : costs[costs.size() / 2];
-}
-
 /// Median serial cost of decoding one wire record, measured once and
 /// reused for every producers-axis point (same anti-jitter rule as the
 /// job-cost calibration).
@@ -172,8 +132,7 @@ struct LoadPoint {
 
 LoadPoint run_point(const testbed::OfficeTestbed& tb, std::size_t workers,
                     double load_factor, double offered_hz, double cost_s,
-                    double slo_s, double duration_s,
-                    std::size_t batch_max = 1) {
+                    double slo_s, double duration_s) {
   // A fresh system per run: identical channel draws for every worker
   // count, so points are comparable across the sweep.
   auto sys = make_system(tb);
@@ -190,7 +149,6 @@ LoadPoint run_point(const testbed::OfficeTestbed& tb, std::size_t workers,
   opt.latency_slo_s = slo_s;
   opt.virtual_clock = true;
   opt.virtual_cost_s = cost_s;
-  opt.batch_max = batch_max;
   service::LocationService svc(sys.get(), opt);
   const auto rep = svc.run(schedule);
 
@@ -297,47 +255,6 @@ int main(int argc, char** argv) {
                          "x sustainable fix rate");
     fields.emplace_back("scaling_1_to_4", scaling);
   }
-
-  // ---- batch axis: SoA-batched pipeline at a fixed worker count ----
-  // Per-job cost is re-calibrated at each batch width (the batched
-  // pipeline amortizes the bearing LUTs, spectrum blur, and grid tiles
-  // across the batch), then the same virtual-clock sweep models the
-  // sustainable rate with workers fixed. Offered load scales with each
-  // width's own capacity so every width is probed around its knee.
-  const std::size_t batch_workers = smoke ? 2 : 4;
-  const std::vector<std::size_t> batch_widths =
-      smoke ? std::vector<std::size_t>{1, 4}
-            : std::vector<std::size_t>{1, 4, 8, 16};
-  const std::vector<double> batch_loads =
-      smoke ? std::vector<double>{0.25}
-            : std::vector<double>{0.5, 0.75, 1.0, 1.25};
-  std::printf("\nbatching, workers = %zu\n", batch_workers);
-  std::printf("  %-8s %-14s %-14s %-14s %-10s\n", "batch", "cost ms/job",
-              "capacity/s", "sustainable/s", "speedup");
-  double batch_rate_1 = 0.0, batch_speedup = 0.0;
-  for (const std::size_t width : batch_widths) {
-    const double costb_s = calibrate_batch_cost_s(tb, width);
-    const double capb_hz = double(batch_workers) / costb_s;
-    std::vector<LoadPoint> points;
-    for (const double f : batch_loads)
-      points.push_back(run_point(tb, batch_workers, f, f * capb_hz, costb_s,
-                                 slo_s, duration_s, width));
-    const LoadPoint* best = max_sustainable(points, slo_s);
-    const double rate = best ? best->fix_rate_hz : 0.0;
-    if (width == 1) batch_rate_1 = rate;
-    const double speedup = batch_rate_1 > 0.0 ? rate / batch_rate_1 : 0.0;
-    batch_speedup = std::max(batch_speedup, speedup);
-    std::printf("  %-8zu %-14.3f %-14.1f %-14.1f %-10.2f\n", width,
-                costb_s * 1e3, capb_hz, rate, speedup);
-    const std::string b = "b" + std::to_string(width);
-    fields.emplace_back(b + "_cost_ms_per_job", costb_s * 1e3);
-    fields.emplace_back(b + "_max_sustainable_fixes_per_sec", rate);
-    fields.emplace_back(b + "_batch_speedup", speedup);
-  }
-  bench::measured_note("batching speedup at " +
-                       std::to_string(batch_workers) + " workers: " +
-                       std::to_string(batch_speedup) + "x sustainable rate");
-  fields.emplace_back("batch_speedup", batch_speedup);
 
   // ---- producers axis: the sharded wire-ingest front-end ----
   // Per-record decode cost is measured serially once; P decoder

@@ -146,16 +146,6 @@ std::vector<double> gaussian_taps(double sigma_rad, std::size_t bins) {
   return kernel;
 }
 
-void circular_extend(const double* row, std::size_t bins, std::size_t half,
-                     double* ext, std::size_t stride) {
-  const auto put = [&](const double* first, const double* last) {
-    for (; first != last; ++first, ext += stride) *ext = *first;
-  };
-  put(row + bins - half, row + bins);
-  put(row, row + bins);
-  put(row, row + half);
-}
-
 void AoaSpectrum::convolve_gaussian(double sigma_rad) {
   convolve(gaussian_taps(sigma_rad, power_.size()));
 }
@@ -164,11 +154,16 @@ void AoaSpectrum::convolve(const std::vector<double>& taps) {
   if (taps.empty()) return;
   const std::size_t n = power_.size();
   const std::size_t half = taps.size() / 2;
-  std::vector<double> ext(n + 2 * half);
-  circular_extend(power_.data(), n, half, ext.data());
-  // The extension is a copy, so the FIR writes straight back in place.
-  linalg::kernels::fir_batch(ext.data(), 1, n, taps.data(), taps.size(),
-                             power_.data());
+  // Circular extension by `half` bins on each side (needs half <= n):
+  // sample k holds bin (k - half) mod n, so a plain FIR over it is the
+  // circular convolution. The extension is a copy, so the FIR writes
+  // straight back in place.
+  std::vector<double> ext;
+  ext.reserve(n + 2 * half);
+  ext.insert(ext.end(), power_.end() - std::ptrdiff_t(half), power_.end());
+  ext.insert(ext.end(), power_.begin(), power_.end());
+  ext.insert(ext.end(), power_.begin(), power_.begin() + std::ptrdiff_t(half));
+  linalg::kernels::fir(ext.data(), n, taps.data(), taps.size(), power_.data());
 }
 
 AoaSpectrum& AoaSpectrum::operator+=(const AoaSpectrum& other) {

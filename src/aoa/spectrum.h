@@ -104,18 +104,9 @@ double bearing_distance(double a_rad, double b_rad);
 
 /// The normalized Gaussian tap weights AoaSpectrum::convolve_gaussian
 /// applies for `sigma_rad` over a `bins`-bin spectrum (2*half+1 taps,
-/// half = min(bins/2, ceil(4*sigma/bin_width))). Exposed so the
-/// batched bearing blur (linalg::kernels::fir_batch over many spectra
-/// at once) uses bit-identical weights. Empty when the blur would be
-/// a no-op (bins < 3 or sigma_rad <= 0).
+/// half = min(bins/2, ceil(4*sigma/bin_width))). Exposed so a
+/// processor can build its blur taps once and pass them to convolve().
+/// Empty when the blur would be a no-op (bins < 3 or sigma_rad <= 0).
 std::vector<double> gaussian_taps(double sigma_rad, std::size_t bins);
-
-/// Writes the circular extension of `row` (bins samples) by `half`
-/// samples on each side: bins + 2*half samples, sample k at
-/// ext[k * stride] holding row[(k - half) mod bins]; needs half <= bins.
-/// A FIR over it is the circular convolution of `row`; stride > 1
-/// interleaves several rows for linalg::kernels::fir_batch.
-void circular_extend(const double* row, std::size_t bins, std::size_t half,
-                     double* ext, std::size_t stride = 1);
 
 }  // namespace arraytrack::aoa

@@ -36,26 +36,6 @@ ApProcessor::ApProcessor(const phy::AccessPointFrontEnd* ap,
 
 aoa::AoaSpectrum ApProcessor::process(const phy::FrameCapture& frame,
                                       linalg::SubspaceTracker* tracker) const {
-  aoa::AoaSpectrum spec = process_sharp(frame, tracker);
-  finish_spectrum(spec);
-  return spec;
-}
-
-linalg::CMatrix ApProcessor::row_covariance(
-    const phy::FrameCapture& frame) const {
-  const linalg::CMatrix samples = ap_->calibrated_samples(frame);
-  if (samples.rows() < row_)
-    throw std::invalid_argument("ApProcessor: capture smaller than row");
-  return aoa::sample_covariance(samples.block(0, 0, row_, samples.cols()));
-}
-
-aoa::AoaSpectrum ApProcessor::music_spectrum(
-    const linalg::CMatrix& row_cov, linalg::SubspaceTracker* tracker) const {
-  return music_->spectrum_from_covariance(row_cov, tracker);
-}
-
-aoa::AoaSpectrum ApProcessor::process_sharp(
-    const phy::FrameCapture& frame, linalg::SubspaceTracker* tracker) const {
   const linalg::CMatrix samples = ap_->calibrated_samples(frame);
   if (samples.rows() < row_)
     throw std::invalid_argument("ApProcessor: capture smaller than row");
@@ -74,7 +54,21 @@ aoa::AoaSpectrum ApProcessor::process_sharp(
   if (resolver_ && samples.rows() > row_)
     resolver_->resolve_per_peak(aoa::sample_covariance(samples), &spec);
 
+  finish_spectrum(spec);
   return spec;
+}
+
+linalg::CMatrix ApProcessor::row_covariance(
+    const phy::FrameCapture& frame) const {
+  const linalg::CMatrix samples = ap_->calibrated_samples(frame);
+  if (samples.rows() < row_)
+    throw std::invalid_argument("ApProcessor: capture smaller than row");
+  return aoa::sample_covariance(samples.block(0, 0, row_, samples.cols()));
+}
+
+aoa::AoaSpectrum ApProcessor::music_spectrum(
+    const linalg::CMatrix& row_cov, linalg::SubspaceTracker* tracker) const {
+  return music_->spectrum_from_covariance(row_cov, tracker);
 }
 
 void ApProcessor::finish_spectrum(aoa::AoaSpectrum& spec) const {

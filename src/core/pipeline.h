@@ -50,19 +50,14 @@ class ApProcessor {
   const PipelineOptions& options() const { return opt_; }
   const phy::AccessPointFrontEnd& ap() const { return *ap_; }
 
-  /// Full spectrum pipeline for one captured frame. The spectrum is
-  /// normalized to peak 1. A non-null `tracker` replaces the per-frame
-  /// eigendecomposition inside MUSIC with the tracked signal basis for
-  /// this frame stream (see MusicEstimator::spectrum_from_covariance).
+  /// Full spectrum pipeline for one captured frame: calibration ->
+  /// smoothed MUSIC -> geometry weighting -> symmetry removal ->
+  /// finish_spectrum(). The spectrum is normalized to peak 1. A
+  /// non-null `tracker` replaces the per-frame eigendecomposition
+  /// inside MUSIC with the tracked signal basis for this frame stream
+  /// (see MusicEstimator::spectrum_from_covariance).
   aoa::AoaSpectrum process(const phy::FrameCapture& frame,
                            linalg::SubspaceTracker* tracker = nullptr) const;
-
-  /// The pipeline up to (not including) the bearing-uncertainty blur:
-  /// calibration -> smoothed MUSIC -> geometry weighting -> symmetry
-  /// removal. finish_spectrum() completes it; process() is exactly
-  /// process_sharp() followed by finish_spectrum().
-  aoa::AoaSpectrum process_sharp(const phy::FrameCapture& frame,
-                                 linalg::SubspaceTracker* tracker = nullptr) const;
 
   /// Calibrated covariance of the MUSIC linear row for one frame — the
   /// input of the covariance -> spectrum stage that music_spectrum()
@@ -84,14 +79,9 @@ class ApProcessor {
   /// server's table-footprint accounting and the quant benches.
   const aoa::MusicEstimator& music() const { return *music_; }
 
-  /// Bearing blur + peak normalization — the tail of process(), split
-  /// out so the batched server path can run the blur of many sharp
-  /// spectra as one structure-of-arrays convolution per AP.
+  /// Bearing blur + peak normalization — the tail of process(), public
+  /// so a stage-by-stage replay can time the blur on its own.
   void finish_spectrum(aoa::AoaSpectrum& spec) const;
-
-  /// The bearing-blur taps finish_spectrum() applies to a spectrum of
-  /// options().music.bins bins, built once (empty: no blur).
-  const std::vector<double>& blur_taps() const { return blur_taps_; }
 
   /// The processed spectrum tagged with the AP pose, ready to fuse.
   ApSpectrum process_tagged(const phy::FrameCapture& frame) const;

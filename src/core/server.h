@@ -143,31 +143,6 @@ class ArrayTrackServer {
   ClientSubspace make_client_subspace(
       linalg::SubspaceCounters* counters = nullptr) const;
 
-  /// spectra_from_frames() for a batch of jobs at once: per AP, the
-  /// sharp spectra of every (job, frame) pair are computed, the
-  /// bearing blur runs as one structure-of-arrays convolution across
-  /// all rows (kernels::fir_batch amortizes the tap addressing and
-  /// vectorizes across jobs), and the per-job groups are fused as
-  /// usual. Row j is bitwise identical to
-  /// spectra_from_frames(*groups[j]). `subspaces`, when non-empty, is
-  /// parallel to `groups` (null entries allowed): job j's spectra use
-  /// client j's tracked bases. Jobs of the same client must appear in
-  /// that client's arrival order, which the service's per-client FIFO
-  /// guarantees; within one AP the batch is walked serially in job
-  /// order, so a shared tracker still sees a deterministic stream.
-  std::vector<std::vector<ApSpectrum>> spectra_from_frames_batch(
-      const std::vector<const FrameGroup*>& groups,
-      const std::vector<ClientSubspace*>& subspaces = {}) const;
-
-  /// locate_frames() for a batch of jobs sharing this server's grid —
-  /// the service's batched-dispatch entry point. Spectra come from
-  /// spectra_from_frames_batch() and positions from
-  /// Localizer::locate_batch(), so row j is bitwise identical to
-  /// locate_frames(*groups[j]) at every batch size.
-  std::vector<std::optional<LocationEstimate>> locate_frames_batch(
-      const std::vector<const FrameGroup*>& groups,
-      const std::vector<ClientSubspace*>& subspaces = {}) const;
-
   /// The likelihood heatmap for a client (Fig. 14).
   std::optional<Heatmap> heatmap(int client_id, double now_s) const;
 

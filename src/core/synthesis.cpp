@@ -267,19 +267,24 @@ LocationEstimate Localizer::hill_climb(const std::vector<ApSpectrum>& aps,
 
 namespace {
 
-/// Streaming bounded top-K insert over a strided cell view: keeps
-/// `ord` sorted by (value descending, index ascending) with at most
-/// `cap` entries. Because that order is strict and total, feeding
-/// every cell index in ascending order yields exactly the prefix that
-/// sorting all cells would — without touching the rest of the grid.
-inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
-                            const double* cells, std::size_t stride,
-                            std::size_t cap) {
-  const auto better = [cells, stride](std::size_t i, std::size_t j) {
-    const double vi = cells[i * stride], vj = cells[j * stride];
-    if (vi != vj) return vi > vj;
+/// Strict total order over cell indices: value descending, then index
+/// ascending (ties break toward the lower cell to keep start selection
+/// deterministic).
+inline auto cell_rank(const double* cells) {
+  return [cells](std::size_t i, std::size_t j) {
+    if (cells[i] != cells[j]) return cells[i] > cells[j];
     return i < j;
   };
+}
+
+/// Streaming bounded top-K insert: keeps `ord` sorted by cell_rank
+/// with at most `cap` entries. Because that order is strict and total,
+/// feeding every cell index in ascending order yields exactly the
+/// prefix that sorting all cells would — without touching the rest of
+/// the grid.
+inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
+                            const double* cells, std::size_t cap) {
+  const auto better = cell_rank(cells);
   if (ord.size() == cap && better(ord.back(), c)) return;
   ord.insert(std::upper_bound(ord.begin(), ord.end(), c, better), c);
   if (ord.size() > cap) ord.pop_back();
@@ -289,39 +294,40 @@ inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
 
 LocationEstimate Localizer::refine(const std::vector<ApSpectrum>& aps,
                                    const Heatmap& map) const {
-  const std::size_t candidates = top_candidates(map.cells.size());
+  const double* cells = map.cells.data();
+  const std::size_t ncells = map.cells.size();
+  const std::size_t candidates = top_candidates(ncells);
   std::vector<std::size_t> order;
   order.reserve(candidates + 1);
-  for (std::size_t c = 0; c < map.cells.size(); ++c)
-    insert_top_cell(order, c, map.cells.data(), 1, candidates);
-  return refine_cells(aps, map, map.cells.data(), 1, std::move(order),
-                      candidates);
+  for (std::size_t c = 0; c < ncells; ++c)
+    insert_top_cell(order, c, cells, candidates);
+  if (auto e = refine_order(aps, map, order, candidates, cells[order[0]]))
+    return *e;
+  // Pathological spacing rejected most candidates; fall back to the
+  // full ordering rather than under-seeding the hill climb.
+  order.resize(ncells);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), cell_rank(cells));
+  return *refine_order(aps, map, order, ncells, cells[order[0]]);
 }
 
-std::optional<LocationEstimate> Localizer::refine_cells_inner(
+std::optional<LocationEstimate> Localizer::refine_order(
     const std::vector<ApSpectrum>& aps, const Heatmap& shape,
     const std::vector<std::size_t>& order, std::size_t candidates,
     double top_value) const {
-  // Top-K grid cells, separated so the starts are not adjacent cells
-  // of the same mode; ties break toward the lower cell index to keep
-  // start selection deterministic.
-  auto pick_starts = [&](std::size_t limit) {
-    std::vector<geom::Vec2> starts;
-    for (std::size_t k = 0; k < limit; ++k) {
-      if (starts.size() >= opt_.hill_climb_starts) break;
-      const std::size_t cell = order[k];
-      const geom::Vec2 p = shape.cell_center(cell % shape.nx, cell / shape.nx);
-      bool close = false;
-      for (const auto& s : starts)
-        if (geom::distance(s, p) < 3.0 * opt_.grid_step_m) close = true;
-      if (!close) starts.push_back(p);
-    }
-    return starts;
-  };
-
-  const std::size_t ncells = shape.nx * shape.ny;
-  const std::vector<geom::Vec2> starts = pick_starts(order.size());
-  if (starts.size() < opt_.hill_climb_starts && candidates < ncells) {
+  // Top-K grid cells in rank order, separated so the starts are not
+  // adjacent cells of the same mode.
+  std::vector<geom::Vec2> starts;
+  for (const std::size_t cell : order) {
+    if (starts.size() >= opt_.hill_climb_starts) break;
+    const geom::Vec2 p = shape.cell_center(cell % shape.nx, cell / shape.nx);
+    bool close = false;
+    for (const auto& s : starts)
+      if (geom::distance(s, p) < 3.0 * opt_.grid_step_m) close = true;
+    if (!close) starts.push_back(p);
+  }
+  if (starts.size() < opt_.hill_climb_starts &&
+      candidates < shape.nx * shape.ny) {
     // Pathological spacing rejected most candidates; the caller must
     // rebuild a full-grid ordering (which needs every cell value — the
     // quantized sweep never computed them, hence the bail-out).
@@ -341,30 +347,6 @@ std::optional<LocationEstimate> Localizer::refine_cells_inner(
         shape.cell_center(cell % shape.nx, cell / shape.nx), top_value};
   }
   return best;
-}
-
-LocationEstimate Localizer::refine_cells(const std::vector<ApSpectrum>& aps,
-                                         const Heatmap& shape,
-                                         const double* cells,
-                                         std::size_t stride,
-                                         std::vector<std::size_t> order,
-                                         std::size_t candidates) const {
-  if (auto e = refine_cells_inner(aps, shape, order, candidates,
-                                  cells[order[0] * stride]))
-    return *e;
-  // Pathological spacing rejected most candidates; fall back to the
-  // full ordering rather than under-seeding the hill climb.
-  auto better = [cells, stride](std::size_t i, std::size_t j) {
-    const double vi = cells[i * stride], vj = cells[j * stride];
-    if (vi != vj) return vi > vj;
-    return i < j;
-  };
-  const std::size_t ncells = shape.nx * shape.ny;
-  order.resize(ncells);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), better);
-  return *refine_cells_inner(aps, shape, order, ncells,
-                             cells[order[0] * stride]);
 }
 
 std::optional<LocationEstimate> Localizer::locate_quant_row(
@@ -556,11 +538,11 @@ std::optional<LocationEstimate> Localizer::locate_quant_row(
   order.reserve(candidates + 1);
   for (std::size_t p = 0; p < surv.size(); ++p)
     if (surv_vals[p] >= tau)
-      insert_top_cell(order, p, surv_vals.data(), 1, candidates);
+      insert_top_cell(order, p, surv_vals.data(), candidates);
   const double top_value = surv_vals[order[0]];
   for (auto& p : order) p = surv[p];
 
-  auto e = refine_cells_inner(aps, shape, order, candidates, top_value);
+  auto e = refine_order(aps, shape, order, candidates, top_value);
   if (!e) return std::nullopt;
   const std::size_t evaluated = seed_cells.size() + pending.size();
   quant_refined_.fetch_add(evaluated, std::memory_order_relaxed);
@@ -578,153 +560,6 @@ std::optional<LocationEstimate> Localizer::locate(
   }
   const Heatmap map = heatmap(aps);
   return refine(aps, map);
-}
-
-Localizer::BatchSweep Localizer::sweep_batch(
-    const std::vector<const std::vector<ApSpectrum>*>& batch) const {
-  BatchSweep sweep;
-  const Heatmap shape = grid();
-  sweep.nx = shape.nx;
-  sweep.ny = shape.ny;
-  const std::size_t nx = sweep.nx, ny = sweep.ny;
-
-  // Group rows by their ordered per-AP LUT signature (nullptr marks an
-  // empty spectrum, which multiplies by the clamped floor): one SoA
-  // pass per group streams each bearing LUT once for all member rows.
-  // Rows sharing a LUT pointer necessarily agree on pose and bin count,
-  // so one transposed table per (group, AP slot) holds every member's
-  // spectrum.
-  std::vector<std::vector<std::shared_ptr<const BearingLut>>> row_luts(
-      batch.size());
-  std::map<std::vector<const BearingLut*>, std::vector<std::size_t>> groups;
-  for (std::size_t rj = 0; rj < batch.size(); ++rj) {
-    const auto& aps = *batch[rj];
-    std::vector<const BearingLut*> sig(aps.size(), nullptr);
-    row_luts[rj].resize(aps.size());
-    for (std::size_t k = 0; k < aps.size(); ++k)
-      if (!aps[k].spectrum.empty()) {
-        row_luts[rj][k] = bearing_lut(aps[k]);
-        sig[k] = row_luts[rj][k].get();
-      }
-    groups[std::move(sig)].push_back(rj);
-  }
-
-  for (auto& [sig, members] : groups) {
-    const std::size_t g = members.size();
-    // Transposed spectrum tables: bin b of member r at table[b*g + r],
-    // so the kernel's per-cell bin lookups are contiguous loads.
-    std::vector<std::vector<double>> tables(sig.size());
-    for (std::size_t k = 0; k < sig.size(); ++k) {
-      if (!sig[k]) continue;
-      const std::size_t bins = (*batch[members[0]])[k].spectrum.bins();
-      tables[k].resize(bins * g);
-      for (std::size_t r = 0; r < g; ++r) {
-        const auto& vals = (*batch[members[r]])[k].spectrum.values();
-        for (std::size_t b = 0; b < bins; ++b) tables[k][b * g + r] = vals[b];
-      }
-    }
-
-    // Interleaved likelihood rows: cell c of member r at soa[c*g + r].
-    std::vector<double> soa(nx * ny * g, 1.0);
-    ThreadPool::shared().parallel_ranges(
-        ny, opt_.threads, [&](std::size_t y0, std::size_t y1) {
-          const std::size_t c0 = y0 * nx;
-          const std::size_t cend = y1 * nx;
-          // Tiles keep the SoA slab and the LUT slices cache-resident
-          // across the AP passes; within a tile the AP order (k
-          // ascending) matches heatmap()'s per-cell multiply order, so
-          // the non-associative double product is unchanged.
-          constexpr std::size_t kTileCells = 1024;
-          for (std::size_t t0 = c0; t0 < cend; t0 += kTileCells) {
-            const std::size_t count = std::min(kTileCells, cend - t0);
-            for (std::size_t k = 0; k < sig.size(); ++k) {
-              if (!sig[k]) {
-                // Empty spectrum: value_at reads 0, clamped to the floor.
-                const double v = std::max(0.0, opt_.floor);
-                double* cell = soa.data() + t0 * g;
-                for (std::size_t e = 0; e < count * g; ++e) cell[e] *= v;
-                continue;
-              }
-              linalg::kernels::gather_lerp_product_batch(
-                  tables[k].data(), sig[k]->bin0.data() + t0,
-                  sig[k]->bin1.data() + t0, sig[k]->frac.data() + t0, count,
-                  g, opt_.floor, soa.data() + t0 * g);
-            }
-          }
-        });
-
-    sweep.groups.push_back(
-        BatchSweep::Group{std::move(members), std::move(soa)});
-  }
-  return sweep;
-}
-
-std::vector<Heatmap> Localizer::heatmap_batch(
-    const std::vector<const std::vector<ApSpectrum>*>& batch) const {
-  const BatchSweep sweep = sweep_batch(batch);
-  std::vector<Heatmap> maps(batch.size());
-  for (auto& map : maps) {
-    map.bounds = bounds_;
-    map.nx = sweep.nx;
-    map.ny = sweep.ny;
-    map.cells.resize(sweep.nx * sweep.ny);
-  }
-  for (const auto& grp : sweep.groups) {
-    const std::size_t g = grp.members.size();
-    for (std::size_t r = 0; r < g; ++r) {
-      double* dst = maps[grp.members[r]].cells.data();
-      for (std::size_t c = 0; c < sweep.nx * sweep.ny; ++c)
-        dst[c] = grp.soa[c * g + r];
-    }
-  }
-  return maps;
-}
-
-std::vector<std::optional<LocationEstimate>> Localizer::locate_batch(
-    const std::vector<std::vector<ApSpectrum>>& batch) const {
-  std::vector<std::optional<LocationEstimate>> out(batch.size());
-  if (quant_enabled_) {
-    // Coarse-to-fine per row: the block pass replaces the dense SoA
-    // float sweep outright, so there is no slab to share — only the
-    // bearing LUTs, which the cache already de-duplicates across rows.
-    // locate() is bitwise the dense path for every row (both feed
-    // refinement the same order over the same values).
-    for (std::size_t j = 0; j < batch.size(); ++j) out[j] = locate(batch[j]);
-    return out;
-  }
-  // Empty rows keep locate()'s contract (nullopt) and stay out of the
-  // shared sweep.
-  std::vector<const std::vector<ApSpectrum>*> live;
-  std::vector<std::size_t> live_idx;
-  for (std::size_t j = 0; j < batch.size(); ++j)
-    if (!batch[j].empty()) {
-      live.push_back(&batch[j]);
-      live_idx.push_back(j);
-    }
-  if (live.empty()) return out;
-
-  const BatchSweep sweep = sweep_batch(live);
-  const Heatmap shape = grid();  // refine_cells never reads its cells
-  const std::size_t candidates = top_candidates(sweep.nx * sweep.ny);
-  for (const auto& grp : sweep.groups) {
-    const std::size_t g = grp.members.size();
-    // One cell-major pass builds every member's top-K at once: cell c
-    // reads g contiguous doubles from the slab, so start selection
-    // costs one stream over the SoA instead of a dense heatmap plus a
-    // strided rescan per row.
-    std::vector<std::vector<std::size_t>> orders(g);
-    for (auto& ord : orders) ord.reserve(candidates + 1);
-    for (std::size_t c = 0; c < sweep.nx * sweep.ny; ++c)
-      for (std::size_t r = 0; r < g; ++r)
-        insert_top_cell(orders[r], c, grp.soa.data() + r, g, candidates);
-    for (std::size_t r = 0; r < g; ++r) {
-      const std::size_t row = grp.members[r];
-      out[live_idx[row]] =
-          refine_cells(*live[row], shape, grp.soa.data() + r, g,
-                       std::move(orders[r]), candidates);
-    }
-  }
-  return out;
 }
 
 }  // namespace arraytrack::core

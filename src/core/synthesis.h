@@ -127,38 +127,23 @@ class Localizer {
 
   Heatmap heatmap(const std::vector<ApSpectrum>& aps) const;
 
-  /// Batched heatmaps for rows that share this localizer's grid: rows
-  /// whose per-AP bearing-LUT signatures match are swept together in
-  /// structure-of-arrays layout (kernels::gather_lerp_product_batch),
-  /// so each LUT and the grid tiles stream from memory once per group
-  /// instead of once per row. Every returned map is bitwise identical
-  /// to heatmap() on that row alone.
-  std::vector<Heatmap> heatmap_batch(
-      const std::vector<const std::vector<ApSpectrum>*>& batch) const;
-
   /// Full pipeline: grid search, then hill climbing from the top
   /// `hill_climb_starts` cells. Empty input yields nullopt.
   std::optional<LocationEstimate> locate(
       const std::vector<ApSpectrum>& aps) const;
 
-  /// locate() for a batch of concurrent requests: the grid sweep is
-  /// amortized via heatmap_batch(), then each row is refined with its
-  /// own hill climb. Row j is bitwise identical to locate(batch[j]) —
-  /// batching changes memory traffic, never results.
-  std::vector<std::optional<LocationEstimate>> locate_batch(
-      const std::vector<std::vector<ApSpectrum>>& batch) const;
-
-  /// Kill switch for the quantized coarse-to-fine sweep (overrides the
-  /// option chosen at construction); off is bitwise-identical to
-  /// the all-float path by construction, on is too — the switch exists
-  /// for A/B latency measurement and as an escape hatch.
+  /// Switch for the quantized coarse-to-fine sweep (overrides the
+  /// option chosen at construction). Off runs the dense path —
+  /// heatmap() then refine() — which is the test oracle; both settings
+  /// give bitwise-identical fixes. It exists for A/B latency
+  /// measurement.
   void set_quantized_sweep(bool on) { quant_enabled_ = on; }
   bool quantized_sweep() const { return quant_enabled_; }
 
   /// Coarse-to-fine accounting: cells skipped by the integer pass vs
   /// cells exactly evaluated with the float kernels (both cumulative
-  /// across locate/locate_batch calls; a dense fallback row counts all
-  /// its cells as refined).
+  /// across locate() calls; a dense fallback counts all its cells as
+  /// refined).
   std::uint64_t quant_pruned() const { return quant_pruned_.load(); }
   std::uint64_t quant_refined() const { return quant_refined_.load(); }
 
@@ -199,56 +184,32 @@ class Localizer {
   LocationEstimate hill_climb(const std::vector<ApSpectrum>& aps,
                               geom::Vec2 start) const;
 
-  /// Start selection + hill climbing over an already-built heatmap;
-  /// the shared tail of locate() and locate_batch().
+  /// Start selection + hill climbing over a dense heatmap: the dense
+  /// path's tail, with a full-grid ordering when start separation
+  /// rejects too many of the top cells.
   LocationEstimate refine(const std::vector<ApSpectrum>& aps,
                           const Heatmap& map) const;
 
-  /// refine() over a strided cell view (cell c at cells[c * stride]):
-  /// `order` holds the already-selected top `candidates` cell indices
-  /// and `shape` carries bounds/nx/ny (its own cells are not read).
-  /// Lets the batch path keep likelihood rows interleaved instead of
-  /// materializing a dense heatmap per job.
-  LocationEstimate refine_cells(const std::vector<ApSpectrum>& aps,
-                                const Heatmap& shape, const double* cells,
-                                std::size_t stride,
-                                std::vector<std::size_t> order,
-                                std::size_t candidates) const;
-
-  /// refine_cells without its dense fallback: returns nullopt when
-  /// start separation rejected too many candidates (the rare case that
-  /// needs a full-grid ordering), so callers that never materialized a
-  /// dense heatmap — the quantized sweep — can rebuild one first.
+  /// refine() from an already-selected top-`candidates` cell order
+  /// (`shape` carries bounds/nx/ny; its cells are not read), without
+  /// the fallback: returns nullopt when start separation rejected too
+  /// many candidates, so a caller that never built a dense heatmap —
+  /// the quantized sweep — can hand the job to the dense path.
   /// `top_value` is the likelihood of cell order[0].
-  std::optional<LocationEstimate> refine_cells_inner(
+  std::optional<LocationEstimate> refine_order(
       const std::vector<ApSpectrum>& aps, const Heatmap& shape,
       const std::vector<std::size_t>& order, std::size_t candidates,
       double top_value) const;
 
-  /// The shared SoA sweep behind heatmap_batch()/locate_batch(): rows
-  /// grouped by bearing-LUT signature, each group's likelihood rows
-  /// interleaved in one slab (cell c of group-member r at
-  /// soa[c * members.size() + r]).
-  struct BatchSweep {
-    std::size_t nx = 0, ny = 0;
-    struct Group {
-      std::vector<std::size_t> members;  // indices into the batch
-      std::vector<double> soa;
-    };
-    std::vector<Group> groups;
-  };
-  BatchSweep sweep_batch(
-      const std::vector<const std::vector<ApSpectrum>*>& batch) const;
-
-  /// One row of the quantized coarse-to-fine sweep: block bounds, a
+  /// The quantized coarse-to-fine sweep for one job: block bounds, a
   /// threshold certified by exactly evaluated seed blocks, per-cell
   /// integer scores only inside blocks that clear it, exact float
-  /// evaluation of the cells that clear it, then refine_cells_inner on
-  /// the top-K order — which is provably the order the dense float
-  /// sweep would hand it. Returns nullopt when the row must fall back
-  /// to the dense path (degenerate likelihoods, weak pruning, or start
-  /// under-seeding); the caller recomputes that row with the float
-  /// sweep, so the result is byte-identical either way.
+  /// evaluation of the cells that clear it, then refine_order on the
+  /// top-K order — which is provably the order the dense float sweep
+  /// would hand it. Returns nullopt when the job must fall back to the
+  /// dense path (degenerate likelihoods, weak pruning, or start
+  /// under-seeding); locate() then runs the float sweep, so the result
+  /// is byte-identical either way.
   std::optional<LocationEstimate> locate_quant_row(
       const std::vector<ApSpectrum>& aps) const;
 

@@ -17,7 +17,7 @@
 #if AT_KERNELS_X86 && (defined(__GNUC__) || defined(__clang__))
 #define AT_TARGET_AVX2 __attribute__((target("avx2,fma")))
 // AVX2 without FMA in the target ISA: for kernels whose bit-for-bit
-// contract requires separate multiply/add (the batched blur FIR), the
+// contract requires separate multiply/add (the bearing-blur FIR), the
 // compiler must be unable to contract the mul+add intrinsic pair into
 // a fused op, which -ffp-contract otherwise permits even for
 // intrinsics.
@@ -129,34 +129,12 @@ void gather_lerp_product_scalar(const double* power, const std::int32_t* bin0,
   }
 }
 
-void gather_lerp_product_batch_scalar(const double* table,
-                                      const std::int32_t* bin0,
-                                      const std::int32_t* bin1,
-                                      const double* frac, std::size_t count,
-                                      std::size_t nrows, double floor,
-                                      double* cells) {
-  for (std::size_t c = 0; c < count; ++c) {
-    const double f = frac[c];
-    const double* t0 = table + std::size_t(bin0[c]) * nrows;
-    const double* t1 = table + std::size_t(bin1[c]) * nrows;
-    double* cell = cells + c * nrows;
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const double v = (1.0 - f) * t0[r] + f * t1[r];
-      cell[r] *= std::max(v, floor);
-    }
-  }
-}
-
-void fir_batch_scalar(const double* in, std::size_t nrows, std::size_t nout,
-                      const double* taps, std::size_t ntaps, double* out) {
+void fir_scalar(const double* in, std::size_t nout, const double* taps,
+                std::size_t ntaps, double* out) {
   for (std::size_t i = 0; i < nout; ++i) {
-    const double* win = in + i * nrows;
-    double* o = out + i * nrows;
-    for (std::size_t r = 0; r < nrows; ++r) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < ntaps; ++j) acc += taps[j] * win[j * nrows + r];
-      o[r] = acc;
-    }
+    double acc = 0.0;
+    for (std::size_t j = 0; j < ntaps; ++j) acc += taps[j] * in[i + j];
+    out[i] = acc;
   }
 }
 
@@ -341,43 +319,10 @@ void gather_lerp_product_sse2(const double* power, const std::int32_t* bin0,
   }
 }
 
-AT_TARGET_SSE2
-void gather_lerp_product_batch_sse2(const double* table,
-                                    const std::int32_t* bin0,
-                                    const std::int32_t* bin1,
-                                    const double* frac, std::size_t count,
-                                    std::size_t nrows, double floor,
-                                    double* cells) {
-  const __m128d ones = _mm_set1_pd(1.0);
-  const __m128d vfloor = _mm_set1_pd(floor);
-  for (std::size_t c = 0; c < count; ++c) {
-    const double f = frac[c];
-    const __m128d fb = _mm_set1_pd(f);
-    const __m128d omf = _mm_sub_pd(ones, fb);
-    const double* t0 = table + std::size_t(bin0[c]) * nrows;
-    const double* t1 = table + std::size_t(bin1[c]) * nrows;
-    double* cell = cells + c * nrows;
-    std::size_t r = 0;
-    for (; r + 2 <= nrows; r += 2) {
-      const __m128d p0 = _mm_loadu_pd(t0 + r);
-      const __m128d p1 = _mm_loadu_pd(t1 + r);
-      const __m128d a = _mm_mul_pd(omf, p0);
-      __m128d v = _mm_add_pd(a, _mm_mul_pd(fb, p1));
-      v = _mm_max_pd(v, vfloor);
-      _mm_storeu_pd(cell + r, _mm_mul_pd(_mm_loadu_pd(cell + r), v));
-    }
-    for (; r < nrows; ++r) {
-      const double a = (1.0 - f) * t0[r];
-      const double v = a + f * t1[r];
-      cell[r] *= std::max(v, floor);
-    }
-  }
-}
-
-// Single-row FIR (one spectrum's blur): there are no rows to vectorize
-// across, so the lanes hold consecutive outputs instead, with four
-// independent accumulators per block to hide the add latency. Each
-// output still sums its taps in ascending order from zero.
+// FIR over one spectrum's blur: the lanes hold consecutive outputs,
+// with four independent accumulators per block to hide the add
+// latency. Each output still sums its taps in ascending order from
+// zero.
 AT_TARGET_SSE2
 void fir_row_sse2(const double* in, std::size_t nout, const double* taps,
                   std::size_t ntaps, double* out) {
@@ -408,30 +353,6 @@ void fir_row_sse2(const double* in, std::size_t nout, const double* taps,
     double acc = 0.0;
     for (std::size_t j = 0; j < ntaps; ++j) acc = acc + taps[j] * in[i + j];
     out[i] = acc;
-  }
-}
-
-AT_TARGET_SSE2
-void fir_batch_sse2(const double* in, std::size_t nrows, std::size_t nout,
-                    const double* taps, std::size_t ntaps, double* out) {
-  if (nrows == 1) return fir_row_sse2(in, nout, taps, ntaps, out);
-  for (std::size_t i = 0; i < nout; ++i) {
-    const double* win = in + i * nrows;
-    double* o = out + i * nrows;
-    std::size_t r = 0;
-    for (; r + 2 <= nrows; r += 2) {
-      __m128d acc = _mm_setzero_pd();
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = _mm_add_pd(
-            acc, _mm_mul_pd(_mm_set1_pd(taps[j]), _mm_loadu_pd(win + j * nrows + r)));
-      _mm_storeu_pd(o + r, acc);
-    }
-    for (; r < nrows; ++r) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = acc + taps[j] * win[j * nrows + r];
-      o[r] = acc;
-    }
   }
 }
 
@@ -634,40 +555,10 @@ void gather_lerp_product_avx2(const double* power, const std::int32_t* bin0,
   }
 }
 
-AT_TARGET_AVX2
-void gather_lerp_product_batch_avx2(const double* table,
-                                    const std::int32_t* bin0,
-                                    const std::int32_t* bin1,
-                                    const double* frac, std::size_t count,
-                                    std::size_t nrows, double floor,
-                                    double* cells) {
-  const __m256d ones = _mm256_set1_pd(1.0);
-  const __m256d vfloor = _mm256_set1_pd(floor);
-  for (std::size_t c = 0; c < count; ++c) {
-    const double f = frac[c];
-    const __m256d fb = _mm256_set1_pd(f);
-    const __m256d omf = _mm256_sub_pd(ones, fb);
-    const double* t0 = table + std::size_t(bin0[c]) * nrows;
-    const double* t1 = table + std::size_t(bin1[c]) * nrows;
-    double* cell = cells + c * nrows;
-    std::size_t r = 0;
-    for (; r + 4 <= nrows; r += 4) {
-      const __m256d p0 = _mm256_loadu_pd(t0 + r);
-      const __m256d p1 = _mm256_loadu_pd(t1 + r);
-      const __m256d a = _mm256_mul_pd(omf, p0);
-      __m256d v = _mm256_fmadd_pd(fb, p1, a);
-      v = _mm256_max_pd(v, vfloor);
-      _mm256_storeu_pd(cell + r, _mm256_mul_pd(_mm256_loadu_pd(cell + r), v));
-    }
-    for (; r < nrows; ++r) {
-      const double a = (1.0 - f) * t0[r];
-      const double v = std::fma(f, t1[r], a);
-      cell[r] *= std::max(v, floor);
-    }
-  }
-}
-
 // fir_row_sse2 at four lanes: 4 accumulators x 4 consecutive outputs.
+// Deliberately mul+add, in a target without FMA so the compiler cannot
+// contract the pair: bit-compatible with the portable scalar loop,
+// which compiles without FMA and never fuses.
 AT_TARGET_AVX2_NOFMA
 void fir_row_avx2(const double* in, std::size_t nout, const double* taps,
                   std::size_t ntaps, double* out) {
@@ -698,40 +589,6 @@ void fir_row_avx2(const double* in, std::size_t nout, const double* taps,
     double acc = 0.0;
     for (std::size_t j = 0; j < ntaps; ++j) acc = acc + taps[j] * in[i + j];
     out[i] = acc;
-  }
-}
-
-AT_TARGET_AVX2_NOFMA
-void fir_batch_avx2(const double* in, std::size_t nrows, std::size_t nout,
-                    const double* taps, std::size_t ntaps, double* out) {
-  // Deliberately mul+add, in a target without FMA so the compiler
-  // cannot contract the pair: bit-compatible with the portable scalar
-  // loop, which compiles without FMA and never fuses.
-  if (nrows == 1) return fir_row_avx2(in, nout, taps, ntaps, out);
-  for (std::size_t i = 0; i < nout; ++i) {
-    const double* win = in + i * nrows;
-    double* o = out + i * nrows;
-    std::size_t r = 0;
-    for (; r + 4 <= nrows; r += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(taps[j]),
-                                               _mm256_loadu_pd(win + j * nrows + r)));
-      _mm256_storeu_pd(o + r, acc);
-    }
-    for (; r + 2 <= nrows; r += 2) {
-      __m128d acc = _mm_setzero_pd();
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = _mm_add_pd(
-            acc, _mm_mul_pd(_mm_set1_pd(taps[j]), _mm_loadu_pd(win + j * nrows + r)));
-      _mm_storeu_pd(o + r, acc);
-    }
-    for (; r < nrows; ++r) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = acc + taps[j] * win[j * nrows + r];
-      o[r] = acc;
-    }
   }
 }
 
@@ -816,39 +673,19 @@ void gather_lerp_product(const double* power, const std::int32_t* bin0,
   gather_lerp_product_scalar(power, bin0, bin1, frac, count, floor, cells);
 }
 
-void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
-                               const std::int32_t* bin1, const double* frac,
-                               std::size_t count, std::size_t nrows,
-                               double floor, double* cells) {
+void fir(const double* in, std::size_t nout, const double* taps,
+         std::size_t ntaps, double* out) {
 #if AT_KERNELS_X86
   switch (core::simd::active()) {
     case Level::kAvx2:
-      return gather_lerp_product_batch_avx2(table, bin0, bin1, frac, count,
-                                            nrows, floor, cells);
+      return fir_row_avx2(in, nout, taps, ntaps, out);
     case Level::kSse2:
-      return gather_lerp_product_batch_sse2(table, bin0, bin1, frac, count,
-                                            nrows, floor, cells);
+      return fir_row_sse2(in, nout, taps, ntaps, out);
     case Level::kScalar:
       break;
   }
 #endif
-  gather_lerp_product_batch_scalar(table, bin0, bin1, frac, count, nrows,
-                                   floor, cells);
-}
-
-void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
-               const double* taps, std::size_t ntaps, double* out) {
-#if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return fir_batch_avx2(in, nrows, nout, taps, ntaps, out);
-    case Level::kSse2:
-      return fir_batch_sse2(in, nrows, nout, taps, ntaps, out);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  fir_batch_scalar(in, nrows, nout, taps, ntaps, out);
+  fir_scalar(in, nout, taps, ntaps, out);
 }
 
 }  // namespace arraytrack::linalg::kernels

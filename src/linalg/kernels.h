@@ -1,14 +1,13 @@
 // SIMD kernel layer for the dense sweep loops: the MUSIC projector
 // matvec, the Bartlett quadratic form, snapshot-covariance
 // accumulation, forward-backward averaging, the heatmap
-// gather+lerp+product (single-row and batched structure-of-arrays
-// forms), and the batched bearing-blur FIR. Each kernel ships a
-// scalar reference path plus
-// SSE2 and AVX2+FMA implementations selected at runtime via
-// core::simd::active(); results at a fixed level are deterministic
-// (bitwise identical for any caller chunking), and levels agree with
-// the scalar reference to ~1e-9 relative (vector paths reassociate
-// sums and use fused multiply-adds).
+// gather+lerp+product, and the bearing-blur FIR. Each kernel ships a
+// scalar reference path plus SSE2 and AVX2+FMA implementations
+// selected at runtime via core::simd::active(); results at a fixed
+// level are deterministic (bitwise identical for any caller chunking),
+// and levels agree with the scalar reference to ~1e-9 relative (vector
+// paths reassociate sums and use fused multiply-adds; the FIR never
+// does, so its levels agree bit for bit).
 #pragma once
 
 #include <cstddef>
@@ -110,39 +109,17 @@ void gather_lerp_product(const double* power, const std::int32_t* bin0,
                          const std::int32_t* bin1, const double* frac,
                          std::size_t count, double floor, double* cells);
 
-/// Batched heatmap likelihood product in structure-of-arrays layout:
-/// `table` holds one spectrum per batch row, transposed so bin b of
-/// row r lives at table[b * nrows + r]; `cells` interleaves the rows
-/// the same way (cell c of row r at cells[c * nrows + r]). For every
-/// cell c and row r,
-///   cells[c*nrows+r] *= max((1 - frac[c]) * table[bin0[c]*nrows+r]
-///                             + frac[c] * table[bin1[c]*nrows+r], floor)
-/// One streaming pass over the shared (bin0, bin1, frac) bearing LUT
-/// updates all nrows likelihood rows, and the transposed tables turn
-/// the per-cell gathers into contiguous loads. At each dispatch level
-/// the per-element operation chain matches gather_lerp_product's
-/// (fused multiply-add exactly where that kernel fuses), so a batch
-/// row is bitwise identical to running the un-batched kernel on it.
-void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
-                               const std::int32_t* bin1, const double* frac,
-                               std::size_t count, std::size_t nrows,
-                               double floor, double* cells);
-
-/// Batched FIR filter in the same interleaved layout: `in` holds
-/// nrows signal rows with sample k of row r at in[k * nrows + r]
-/// (k < nout + ntaps - 1), and every output sample accumulates taps
-/// in ascending order from zero:
-///   out[i*nrows+r] = sum_j taps[j] * in[(i+j)*nrows+r]
+/// FIR filter over one signal of nout + ntaps - 1 samples: every
+/// output accumulates its taps in ascending order from zero,
+///   out[i] = sum_j taps[j] * in[i + j]
 /// Callers express a circular convolution by pre-extending the input
-/// with the wrapped edge samples (aoa::circular_extend). Every level
-/// performs separate multiply/add (never fused), so all levels produce
-/// identical bits and each row matches the plain scalar loop
+/// with the wrapped edge samples (as aoa::AoaSpectrum::convolve does).
+/// The vector levels spread consecutive outputs across lanes, and
+/// every level performs separate multiply/add (never fused), so all
+/// levels produce identical bits and match the plain scalar loop
 ///   acc = 0; for j: acc += taps[j] * x[i + j]
-/// With nrows == 1 the vector levels spread consecutive outputs across
-/// lanes instead of rows; aoa::AoaSpectrum::convolve_gaussian is that
-/// single-row case.
-void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
-               const double* taps, std::size_t ntaps, double* out);
+void fir(const double* in, std::size_t nout, const double* taps,
+         std::size_t ntaps, double* out);
 
 }  // namespace kernels
 }  // namespace arraytrack::linalg

@@ -303,9 +303,6 @@ void LocationService::measured_dispatch_locked(double now_s) {
       stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const double wait = std::max(0.0, best_start - job.arrival_s);
-    stats_.queue_wait_ms.record(wait * 1e3);
-
     const auto t0 = std::chrono::steady_clock::now();
     const auto fix = system_->server().locate_frames(
         job.frames, subspace_for(*job.session));
@@ -318,35 +315,9 @@ void LocationService::measured_dispatch_locked(double now_s) {
     job.done_s = best_start + processing;
     *wit = job.done_s;
     sh.busy_until_s = job.done_s;
-    stats_.processing_ms.record(processing * 1e3);
     stats_.batch_occupancy.record(1.0);
-
-    if (!fix) {
-      stats_.locate_failures.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    ServiceFix out;
-    out.client_id = job.client_id;
-    out.seq = job.seq;
-    out.frame_time_s = job.frame_time_s;
-    out.queue_wait_s = wait;
-    out.processing_s = processing;
-    out.latency_s = job.done_s - job.frame_time_s;
-    out.position = fix->position;
-    out.likelihood = fix->likelihood;
-    if (opt_.tracked_fixes) {
-      out.smoothed =
-          job.session->tracker.update(fix->position, job.frame_time_s);
-      out.tracker_rejected = job.session->tracker.last_rejected();
-      if (out.tracker_rejected)
-        stats_.tracker_rejects.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      out.smoothed = fix->position;
-    }
-    if (job.truth) out.error_m = geom::distance(fix->position, *job.truth);
-    stats_.e2e_ms.record(out.latency_s * 1e3);
-    stats_.fixes_emitted.fetch_add(1, std::memory_order_relaxed);
-    bus_.publish(out);
+    commit_locate(job, fix, std::max(0.0, best_start - job.arrival_s),
+                  processing);
   }
 }
 
@@ -641,132 +612,42 @@ void LocationService::worker_loop(std::size_t id) {
     }
     rr_cursor_ = (found + 1) % shards_.size();
     Shard& sh = shards_[found];
-    // Opportunistic batching: take whatever the shard has ready, up to
-    // batch_max, and run it through the batched pipeline. The jobs'
+    // Drain whatever the shard has ready, up to batch_max, under one
+    // claim, then run the jobs one by one in deque order, which keeps
+    // each session's tracker updates in frame order. The jobs'
     // scheduling decisions (virtual stamps, shed verdicts) were made
-    // per job before they reached `ready`, so the drain width changes
-    // memory traffic, never results.
-    std::vector<Job> batch;
+    // per job before they reached `ready`, so the drain width never
+    // changes results.
+    std::vector<Job> drained;
     const std::size_t take = std::min(opt_.batch_max, sh.ready.size());
-    batch.reserve(take);
+    drained.reserve(take);
     for (std::size_t b = 0; b < take; ++b) {
-      batch.push_back(std::move(sh.ready.front()));
+      drained.push_back(std::move(sh.ready.front()));
       sh.ready.pop_front();
     }
     sh.claimed = true;
-    in_flight_ += batch.size();
+    in_flight_ += drained.size();
     lock.unlock();
 
-    execute_batch(batch);
+    stats_.batch_occupancy.record(double(drained.size()));
+    for (Job& job : drained) execute(job);
 
     lock.lock();
     sh.claimed = false;
-    in_flight_ -= batch.size();
+    in_flight_ -= drained.size();
     if (!sh.ready.empty()) work_cv_.notify_one();
     if (idle_locked()) idle_cv_.notify_all();
-  }
-}
-
-void LocationService::execute_batch(std::vector<Job>& batch) {
-  stats_.batch_occupancy.record(double(batch.size()));
-  if (batch.size() == 1) {
-    execute(batch.front());
-    return;
-  }
-  const bool virt = clock_.is_virtual();
-  const double wall_start = virt ? 0.0 : clock_.now();
-
-  // Wall mode sheds per job against the estimated cost, exactly like
-  // execute(); virtual-mode shedding already happened in the
-  // dispatcher. `kept` preserves deque order, which is what keeps each
-  // session's tracker updates in frame order.
-  std::vector<Job*> kept;
-  kept.reserve(batch.size());
-  for (auto& job : batch) {
-    const double start = virt ? job.start_s : wall_start;
-    if (!virt && opt_.latency_slo_s > 0.0 &&
-        start + estimated_cost_s() > job.deadline_s) {
-      stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    stats_.queue_wait_ms.record(std::max(0.0, start - job.arrival_s) * 1e3);
-    kept.push_back(&job);
-  }
-  if (kept.empty()) return;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::optional<core::LocationEstimate>> results;
-  if (kept.size() == 1) {
-    // One survivor: skip the batch path's grouping overhead.
-    results.push_back(system_->server().locate_frames(
-        kept[0]->frames, subspace_for(*kept[0]->session)));
-  } else {
-    std::vector<const core::FrameGroup*> groups;
-    std::vector<core::ClientSubspace*> subspaces;
-    groups.reserve(kept.size());
-    subspaces.reserve(kept.size());
-    for (Job* j : kept) {
-      groups.push_back(&j->frames);
-      subspaces.push_back(subspace_for(*j->session));
-    }
-    results = system_->server().locate_frames_batch(groups, subspaces);
-  }
-  const double measured =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (!virt) update_cost_estimate(measured / double(kept.size()));
-
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    Job& job = *kept[i];
-    const double start = virt ? job.start_s : wall_start;
-    const double processing =
-        virt ? job.done_s - job.start_s : measured / double(kept.size());
-    stats_.processing_ms.record(processing * 1e3);
-    const auto& fix = results[i];
-    if (!fix) {
-      stats_.locate_failures.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const double done = virt ? job.done_s : clock_.now();
-    ServiceFix out;
-    out.client_id = job.client_id;
-    out.seq = job.seq;
-    out.frame_time_s = job.frame_time_s;
-    out.queue_wait_s = std::max(0.0, start - job.arrival_s);
-    out.processing_s = processing;
-    out.latency_s =
-        virt ? done - job.frame_time_s : (done - job.arrival_s) + transport_s_;
-    out.position = fix->position;
-    out.likelihood = fix->likelihood;
-    if (opt_.tracked_fixes) {
-      // Exclusive tracker access: every job of a client lives on one
-      // shard, and this worker holds that shard's claim.
-      out.smoothed =
-          job.session->tracker.update(fix->position, job.frame_time_s);
-      out.tracker_rejected = job.session->tracker.last_rejected();
-      if (out.tracker_rejected)
-        stats_.tracker_rejects.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      out.smoothed = fix->position;
-    }
-    if (job.truth) out.error_m = geom::distance(fix->position, *job.truth);
-    stats_.e2e_ms.record(out.latency_s * 1e3);
-    stats_.fixes_emitted.fetch_add(1, std::memory_order_relaxed);
-    bus_.publish(out);
   }
 }
 
 void LocationService::execute(Job& job) {
   const bool virt = clock_.is_virtual();
   const double start = virt ? job.start_s : clock_.now();
-  const double wait = std::max(0.0, start - job.arrival_s);
-
   if (!virt && opt_.latency_slo_s > 0.0 &&
       start + estimated_cost_s() > job.deadline_s) {
     stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  stats_.queue_wait_ms.record(wait * 1e3);
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto fix = system_->server().locate_frames(
@@ -775,28 +656,35 @@ void LocationService::execute(Job& job) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   if (!virt) update_cost_estimate(measured);
-  const double processing = virt ? job.done_s - job.start_s : measured;
-  stats_.processing_ms.record(processing * 1e3);
+  commit_locate(job, fix, std::max(0.0, start - job.arrival_s),
+                virt ? job.done_s - job.start_s : measured);
+}
 
+void LocationService::commit_locate(
+    const Job& job, const std::optional<core::LocationEstimate>& fix,
+    double wait_s, double processing_s) {
+  stats_.queue_wait_ms.record(wait_s * 1e3);
+  stats_.processing_ms.record(processing_s * 1e3);
   if (!fix) {
     stats_.locate_failures.fetch_add(1, std::memory_order_relaxed);
     return;
   }
 
-  const double done = virt ? job.done_s : clock_.now();
   ServiceFix out;
   out.client_id = job.client_id;
   out.seq = job.seq;
   out.frame_time_s = job.frame_time_s;
-  out.queue_wait_s = wait;
-  out.processing_s = processing;
-  out.latency_s =
-      virt ? done - job.frame_time_s : (done - job.arrival_s) + transport_s_;
+  out.queue_wait_s = wait_s;
+  out.processing_s = processing_s;
+  out.latency_s = clock_.is_virtual()
+                      ? job.done_s - job.frame_time_s
+                      : (clock_.now() - job.arrival_s) + transport_s_;
   out.position = fix->position;
   out.likelihood = fix->likelihood;
   if (opt_.tracked_fixes) {
     // The session's tracker: exclusive access is guaranteed because a
-    // client's jobs run on one claimed shard at a time.
+    // client's jobs run on one claimed shard at a time (or inline on
+    // the producer thread in measured_cost mode).
     out.smoothed = job.session->tracker.update(fix->position, job.frame_time_s);
     out.tracker_rejected = job.session->tracker.last_rejected();
     if (out.tracker_rejected)
@@ -807,7 +695,6 @@ void LocationService::execute(Job& job) {
   if (job.truth) out.error_m = geom::distance(fix->position, *job.truth);
   stats_.e2e_ms.record(out.latency_s * 1e3);
   stats_.fixes_emitted.fetch_add(1, std::memory_order_relaxed);
-
   bus_.publish(out);
 }
 
@@ -860,7 +747,7 @@ void LocationService::elastic_eval_locked(double t) {
   if (!virt && !pressure) {
     // Wall mode folds in the batch-occupancy histogram (recorded by
     // the real workers, so off-limits to the deterministic virtual
-    // path): consistently full batches mean the drain is saturated
+    // path): consistently full drains mean the workers are saturated
     // even when admission depth looks shallow.
     const double cnt = double(stats_.batch_occupancy.count());
     const double sum = stats_.batch_occupancy.mean() * cnt;

@@ -95,9 +95,10 @@ struct ElasticOptions {
   /// Shrink signal: an empty window, or window mean depth at or below
   /// this, with no backlog outstanding at the evaluation point.
   double shrink_depth = 1.05;
-  /// Wall mode only: window mean batch occupancy at or above this
-  /// fraction of batch_max also counts as grow pressure (full batches
-  /// mean the drain is saturated even when admission depth looks shallow).
+  /// Wall mode only: window mean drain width (batch occupancy) at or
+  /// above this fraction of batch_max also counts as grow pressure
+  /// (full drains mean the workers are saturated even when admission
+  /// depth looks shallow).
   double occupancy_grow_frac = 0.9;
   /// Consecutive same-verdict evaluations before a one-worker resize.
   std::size_t hysteresis = 2;
@@ -152,14 +153,14 @@ struct ServiceOptions {
   /// stats().ring_dropped.
   std::size_t ingest_ring_capacity = 1024;
 
-  /// Most jobs a worker drains from one shard per dispatch and hands
-  /// to the batched pipeline (ArrayTrackServer::locate_frames_batch),
-  /// which amortizes the bearing LUTs and grid tiles across the batch.
-  /// Opportunistic: a worker takes whatever is ready, up to this, and
-  /// falls back to the single-job path for a batch of one. Does not
-  /// affect which jobs run or what they compute — under the virtual
-  /// clock the fix set is byte-identical for every value. Clamped to
-  /// >= 1 (recorded in stats().batch_max).
+  /// Drain width: most jobs a worker takes from one shard per claim.
+  /// The worker then runs them one by one, in queue order, through
+  /// ArrayTrackServer::locate_frames, so a wider drain saves only shard
+  /// claims. Opportunistic: a worker takes whatever is ready, up to
+  /// this (stats().batch_occupancy records each drain's width). Does
+  /// not affect which jobs run or what they compute — under the
+  /// virtual clock the fix set is byte-identical for every value.
+  /// Clamped to >= 1 (recorded in stats().batch_max).
   std::size_t batch_max = 8;
 
   /// Quantized coarse-to-fine grid sweep in the localizer (see
@@ -448,10 +449,16 @@ class LocationService {
   void measured_dispatch_locked(double now_s);
   bool idle_locked() const;
   void worker_loop(std::size_t id);
+  /// Runs one released job on a worker: wall-mode shedding against the
+  /// cost estimate, locate_frames, then commit_locate().
   void execute(Job& job);
-  /// Runs a drained batch through locate_frames_batch (or execute()
-  /// when only one job was ready), emitting fixes in deque order.
-  void execute_batch(std::vector<Job>& batch);
+  /// The shared tail of every job that ran (execute() and
+  /// measured_dispatch_locked()): records its wait and processing
+  /// time, counts a failed locate, or builds the ServiceFix, smooths it
+  /// through the session's tracker and publishes it on the bus.
+  void commit_locate(const Job& job,
+                     const std::optional<core::LocationEstimate>& fix,
+                     double wait_s, double processing_s);
   double estimated_cost_s() const;
   void update_cost_estimate(double measured_s);
   /// Decoder-thread body: decode + validate every record of partition

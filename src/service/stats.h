@@ -103,7 +103,7 @@ struct ServiceStats {
   /// configured worker count when elasticity is off.
   std::atomic<std::uint64_t> workers_now{0};
 
-  // ---- batching ----
+  // ---- drain width ----
   /// Effective ServiceOptions::batch_max after clamping, echoed so a
   /// scrape shows the width the engine actually ran with.
   std::atomic<std::uint64_t> batch_max{1};
@@ -121,7 +121,7 @@ struct ServiceStats {
   StreamingHistogram queue_wait_ms;   // server arrival -> job start
   StreamingHistogram processing_ms;   // pipeline time per job
   StreamingHistogram e2e_ms;          // frame end -> fix emitted
-  StreamingHistogram batch_occupancy; // jobs per worker dispatch
+  StreamingHistogram batch_occupancy; // jobs per worker drain
 
   std::uint64_t jobs_shed() const {
     return shed_queue_full.load() + shed_deadline.load();

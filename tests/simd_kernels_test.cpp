@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -245,6 +246,36 @@ TEST(SimdKernelsTest, GatherLerpProductIsChunkInvariant) {
         ASSERT_EQ(whole[c], parts[c])
             << "level " << core::simd::name(lvl) << " split " << split
             << " cell " << c;
+    }
+  }
+}
+
+// The bearing-blur FIR never fuses, so every level must reproduce the
+// portable loop bit for bit. Output counts that are not multiples of 4
+// or 16: the vector levels block across outputs, and 247 = 15*16 + 4 + 3
+// (AVX2) = 30*8 + 3*2 + 1 (SSE2) leaves every block size and the
+// scalar tail non-empty.
+TEST(SimdKernelsTest, FirBitwiseMatchesPortableLoop) {
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const std::size_t ntaps = 33;
+  std::vector<double> taps(ntaps);
+  for (auto& v : taps) v = u(rng);
+  for (Level lvl : runnable_levels()) {
+    ForcedLevel g(lvl);
+    for (std::size_t nout : {7u, 240u, 241u, 247u, 720u}) {
+      std::vector<double> in(nout + ntaps - 1);
+      for (auto& v : in) v = u(rng);
+      std::vector<double> out(nout);
+      linalg::kernels::fir(in.data(), nout, taps.data(), ntaps, out.data());
+      for (std::size_t i = 0; i < nout; ++i) {
+        // Plain multiply-add, strictly tap-ascending.
+        double acc = 0.0;
+        for (std::size_t j = 0; j < ntaps; ++j) acc += taps[j] * in[i + j];
+        ASSERT_EQ(0, std::memcmp(&acc, &out[i], 8))
+            << "level " << core::simd::name(lvl) << " nout " << nout
+            << " sample " << i;
+      }
     }
   }
 }

@@ -126,7 +126,7 @@ TEST(SpectrumTest, AccumulateMismatchThrows) {
 }
 
 // The circular blur as it was written before it went through
-// linalg::kernels::fir_batch: a modulo per tap, taps ascending.
+// linalg::kernels::fir: a modulo per tap, taps ascending.
 std::vector<double> modulo_blur(const std::vector<double>& power,
                                 double sigma_rad) {
   const std::size_t n = power.size();

@@ -187,7 +187,7 @@ TEST(PoolDeterminismTest, HeatmapAndLocateIdenticalAcrossPoolWidths) {
 // The served job shapes: walk (3 APs x 1 frame) and burst (6 APs x 3
 // frames). The fan-out's width follows the frame count, never the
 // load, and each AP writes its own slot, so every width gives the same
-// bits on the single-job and the batch path.
+// bits.
 struct JobShape {
   const char* name;
   std::size_t aps;
@@ -213,15 +213,8 @@ TEST_P(JobShapeTest, SpectraAndFixesIdenticalAcrossPoolWidths) {
     const auto& server = rig.sys->server();
     const FrameGroup group = server.snapshot_frames(0, 0.1);
     const std::string where = "threads=" + std::to_string(threads);
-    expect_same_spectra(server.spectra_from_frames(group), want,
-                        where + " single");
-    expect_same_fix(server.locate_frames(group), want_fix, where + " single");
-    const auto batch = server.spectra_from_frames_batch({&group});
-    ASSERT_EQ(batch.size(), 1u);
-    expect_same_spectra(batch[0], want, where + " batch");
-    const auto batch_fix = server.locate_frames_batch({&group});
-    ASSERT_EQ(batch_fix.size(), 1u);
-    expect_same_fix(batch_fix[0], want_fix, where + " batch");
+    expect_same_spectra(server.spectra_from_frames(group), want, where);
+    expect_same_fix(server.locate_frames(group), want_fix, where);
   }
 }
 
@@ -240,12 +233,9 @@ TEST_P(JobShapeTest, PoolTasksFollowFrameCount) {
   const std::size_t width = std::min<std::size_t>(pool.size(), 4);
   const std::size_t want =
       shape.frames == 1 ? 0 : (width >= 3 ? 2 : width - 1);
-  auto before = pool.tasks_queued();
+  const auto before = pool.tasks_queued();
   ASSERT_TRUE(server.locate_frames(group).has_value());
-  EXPECT_EQ(pool.tasks_queued() - before, want) << "single";
-  before = pool.tasks_queued();
-  ASSERT_TRUE(server.locate_frames_batch({&group})[0].has_value());
-  EXPECT_EQ(pool.tasks_queued() - before, want) << "batch";
+  EXPECT_EQ(pool.tasks_queued() - before, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
